@@ -29,8 +29,9 @@
 //! --timings prints the parallel engines' instrumentation — shared-ball
 //! counters (traversals, cache hits) for the metric suite, hierarchy
 //! counters (DAG states, pairs accumulated, arena bytes) for the
-//! link-value stage, per-phase wall times for both, store-cache traffic
-//! when a cache is active — and with --json also archives it as
+//! link-value stage, per-phase times for both (summed over worker
+//! threads; only `total` is wall-clock), store-cache traffic when a
+//! cache is active — and with --json also archives it as
 //! BENCH_<id>.json.
 //!
 //! --trace[=DIR] records a structured span log — suite units and retry
@@ -136,6 +137,8 @@ use topogen_bench::serve;
 use topogen_bench::{tracefmt, ExitCode, ExpCtx};
 use topogen_core::report::{render_figure, FigureData, TableData, TimingReport};
 use topogen_core::zoo::Scale;
+use topogen_core::RunCtx;
+use topogen_graph::bfs_bitset::KernelPolicy;
 use topogen_metrics::tolerance::Removal;
 use topogen_par::trace;
 
@@ -206,10 +209,10 @@ impl Output {
         std::mem::take(&mut *self.degraded.lock().unwrap_or_else(|p| p.into_inner()))
     }
 
-    /// Remember where the trace buffer stands right now, so this unit's
-    /// `--timings` report can roll up just the spans it records.
-    fn mark_trace(&self) {
-        let mark = trace::active().map(|sink| sink.mark());
+    /// Remember where the run's trace buffer stands right now, so this
+    /// unit's `--timings` report can roll up just the spans it records.
+    fn mark_trace(&self, run: &RunCtx) {
+        let mark = run.trace.as_ref().map(|sink| sink.mark());
         *self.trace_mark.lock().unwrap_or_else(|p| p.into_inner()) = mark;
     }
 
@@ -229,12 +232,12 @@ impl Output {
 
     /// Print (and archive as `BENCH_<id>.json`) an experiment's merged
     /// engine instrumentation when `--timings` was given.
-    fn timing_report(&self, id: &str, r: &TimingReport) {
+    fn timing_report(&self, id: &str, r: &TimingReport, run: &RunCtx) {
         if !self.timings {
             return;
         }
         let mut r = r.clone();
-        if let Some(sink) = trace::active() {
+        if let Some(sink) = &run.trace {
             if let Some(mark) = &*self.trace_mark.lock().unwrap_or_else(|p| p.into_inner()) {
                 r.add_span_rollups(&sink.rollup_since(mark));
             }
@@ -293,6 +296,35 @@ fn usage() -> ! {
     ExitCode::Usage.exit();
 }
 
+/// The value after `flag`, parsed as `T`. A missing or malformed value
+/// is a usage error (exit 2), like every other bad invocation.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = impl AsRef<str>>,
+    flag: &str,
+    want: &str,
+) -> T {
+    match it.next().and_then(|v| v.as_ref().parse().ok()) {
+        Some(v) => v,
+        None => {
+            eprintln!("{flag} needs {want}");
+            usage();
+        }
+    }
+}
+
+/// [`flag_value`] for a duration in (fractional) seconds; negative,
+/// NaN and overflowing values are usage errors.
+fn flag_secs(it: &mut impl Iterator<Item = impl AsRef<str>>, flag: &str) -> Duration {
+    let secs: f64 = flag_value(it, flag, "a number of seconds");
+    match Duration::try_from_secs_f64(secs) {
+        Ok(d) => d,
+        Err(_) => {
+            eprintln!("{flag} needs a non-negative number of seconds");
+            usage();
+        }
+    }
+}
+
 fn main() {
     topogen_par::faults::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -309,6 +341,7 @@ fn main() {
         _ => {}
     }
     let mut ctx = ExpCtx::default();
+    let mut run = RunCtx::new();
     let mut json_dir = None;
     let mut timings = false;
     let mut strict_checks = false;
@@ -339,48 +372,29 @@ fn main() {
                 }
                 trace_dir = Some(dir.to_string());
             }
-            "--max-bytes" => {
-                max_bytes = Some(
-                    it.next()
-                        .expect("--max-bytes needs a byte count")
-                        .parse()
-                        .expect("max-bytes must be u64"),
-                );
-            }
+            "--max-bytes" => max_bytes = Some(flag_value(&mut it, "--max-bytes", "a byte count")),
             "--keep-going" => opts.keep_going = true,
             "--resume" => opts.resume = true,
             "--strict-checks" => strict_checks = true,
-            "--deadline" => {
-                let secs: f64 = it
-                    .next()
-                    .expect("--deadline needs seconds")
-                    .parse()
-                    .expect("deadline must be a number of seconds");
-                opts.deadline = Some(Duration::from_secs_f64(secs));
-            }
-            "--retries" => {
-                opts.retries = it
-                    .next()
-                    .expect("--retries needs a count")
-                    .parse()
-                    .expect("retries must be an integer");
-            }
+            "--deadline" => opts.deadline = Some(flag_secs(&mut it, "--deadline")),
+            "--retries" => opts.retries = flag_value(&mut it, "--retries", "a count"),
             "--scale" => {
-                let v = it.next().expect("--scale needs a value");
+                let v = it.next().unwrap_or_default();
                 ctx.scale = match v.as_str() {
                     "small" => Scale::Small,
                     "paper" => Scale::Paper,
                     "large" => Scale::Large,
                     "xl" => Scale::Xl,
-                    other => panic!("unknown scale {other:?}"),
+                    other => {
+                        eprintln!("unknown scale {other:?} (want small|paper|large|xl)");
+                        usage();
+                    }
                 };
             }
             "--kernel" => {
-                let v = it.next().expect("--kernel needs auto|scalar|bitset");
-                match topogen_graph::bfs_bitset::KernelPolicy::parse(&v) {
-                    // Set process-wide so every RunCtx (batch units,
-                    // ambient snapshots) observes the same choice.
-                    Some(p) => topogen_graph::bfs_bitset::set_default_policy(p),
+                let v = it.next().unwrap_or_default();
+                match KernelPolicy::parse(&v) {
+                    Some(p) => run.kernel = p,
                     None => {
                         eprintln!("unknown kernel {v:?} (want auto|scalar|bitset)");
                         usage();
@@ -388,31 +402,23 @@ fn main() {
                 }
             }
             "--mem-budget" => {
-                let v = it
-                    .next()
-                    .expect("--mem-budget needs BYTES (K/M/G suffixes ok)");
+                let v = it.next().unwrap_or_default();
                 match parse_byte_count(&v) {
-                    // Set process-wide so every RunCtx (batch units,
-                    // ambient snapshots) routes streaming-capable
-                    // builds through the bounded builder.
-                    Some(b) if b > 0 => topogen_graph::stream::set_default_budget(Some(b)),
+                    Some(b) if b > 0 => run.mem_budget = Some(b),
                     _ => {
                         eprintln!("bad --mem-budget {v:?} (want BYTES, e.g. 64M)");
                         usage();
                     }
                 }
             }
-            "--seed" => {
-                ctx.seed = it
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("seed must be u64");
-            }
+            "--seed" => ctx.seed = flag_value(&mut it, "--seed", "a u64"),
             "--thorough" => ctx.quick = false,
             "--json" => {
-                let dir = it.next().expect("--json needs a directory");
-                std::fs::create_dir_all(&dir).expect("create json dir");
+                let dir: String = flag_value(&mut it, "--json", "a directory");
+                if let Err(e) = std::fs::create_dir_all(&dir) {
+                    eprintln!("cannot create --json directory {dir}: {e}");
+                    usage();
+                }
                 json_dir = Some(dir);
             }
             other if other.starts_with("--") => {
@@ -457,21 +463,16 @@ fn main() {
         usage();
     }
 
-    // Install the ambient artifact store. Faulted runs never cache:
-    // an injected panic mid-build must not leave a plausible-looking
-    // entry behind for clean runs to consume.
-    let mut _ambient_store = None;
+    // Attach the artifact store. Faulted runs never cache: an injected
+    // panic mid-build must not leave a plausible-looking entry behind
+    // for clean runs to consume.
     if let Some(dir) = &cache_dir {
         if topogen_par::faults::active() {
             eprintln!("warning: TOPOGEN_FAULTS active; --cache disabled for this run");
         } else {
             match topogen_store::Store::open(dir) {
                 Ok(store) => {
-                    // Held for the remainder of main: the batch CLI is
-                    // the process, so process-lifetime scoping is right.
-                    _ambient_store = Some(topogen_store::ambient::install(Some(
-                        std::sync::Arc::new(store),
-                    )));
+                    run.store = Some(std::sync::Arc::new(store));
                     opts.store = Some(runner::StoreInfo {
                         path: dir.clone(),
                         codec_version: topogen_store::codec::CODEC_VERSION as u64,
@@ -484,13 +485,11 @@ fn main() {
             }
         }
     }
-    // Install the trace sink. Recording is append-only and off the
+    // Attach the trace sink. Recording is append-only and off the
     // result path: experiment outputs are byte-identical either way.
-    let trace_sink = trace_dir.as_ref().map(|_| {
-        let sink = std::sync::Arc::new(trace::TraceSink::new());
-        trace::install(Some(sink.clone()));
-        sink
-    });
+    if trace_dir.is_some() {
+        run.trace = Some(std::sync::Arc::new(trace::TraceSink::new()));
+    }
     let out = Output {
         json_dir,
         timings,
@@ -539,10 +538,10 @@ fn main() {
         let out = out.clone();
         let arg = arg.clone();
         let base = ctx;
-        Unit::new(id, move |attempt| {
+        Unit::new(id, move |attempt, run| {
             let mut c = base;
             c.seed = runner::reseed(base.seed, attempt);
-            run_cmd(&id_owned, arg.as_deref(), &c, &out)
+            run_cmd(&id_owned, arg.as_deref(), &c, run, &out)
         })
     };
 
@@ -554,14 +553,14 @@ fn main() {
         vec![unit_for(&cmd)]
     };
 
-    let report = runner::run_units(&units, &opts, ctx.seed, scale_label);
-    if let (Some(sink), Some(dir)) = (&trace_sink, &trace_dir) {
+    let report = runner::run_units(&units, &opts, &run, ctx.seed, scale_label);
+    if let (Some(sink), Some(dir)) = (&run.trace, &trace_dir) {
         match flush_trace(sink, dir, &cmd, ctx.seed) {
             Ok((path, events)) => eprintln!(">>> trace: {events} event(s) at {path}"),
             Err(e) => eprintln!("warning: cannot write trace log: {e}"),
         }
     }
-    if let Some(c) = topogen_store::ambient::counters() {
+    if let Some(c) = run.store.as_ref().map(|s| s.counters().snapshot()) {
         if !c.is_zero() {
             eprintln!(
                 ">>> store-cache: {} hit(s), {} miss(es), {}B read, {}B written{}",
@@ -803,58 +802,28 @@ fn run_serve_cmd(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => {
-                config.addr = it.next().expect("--addr needs HOST:PORT").clone();
-            }
+            "--addr" => config.addr = flag_value(&mut it, "--addr", "HOST:PORT"),
             "--workers" => {
-                config.workers = it
-                    .next()
-                    .expect("--workers needs a count")
-                    .parse()
-                    .expect("workers must be a positive integer");
+                config.workers = flag_value(&mut it, "--workers", "a positive integer");
                 if config.workers == 0 {
                     eprintln!("--workers must be at least 1");
                     return ExitCode::Usage;
                 }
             }
-            "--queue" => {
-                config.queue = it
-                    .next()
-                    .expect("--queue needs a count")
-                    .parse()
-                    .expect("queue must be an integer");
-            }
+            "--queue" => config.queue = flag_value(&mut it, "--queue", "a count"),
             "--ledger" => {
-                config.ledger_path = it.next().expect("--ledger needs a path").into();
+                config.ledger_path = flag_value(&mut it, "--ledger", "a path");
                 ledger_given = true;
             }
-            "--deadline" => {
-                let secs: f64 = it
-                    .next()
-                    .expect("--deadline needs seconds")
-                    .parse()
-                    .expect("deadline must be a number of seconds");
-                config.default_deadline = Some(Duration::from_secs_f64(secs));
-            }
+            "--deadline" => config.default_deadline = Some(flag_secs(&mut it, "--deadline")),
             "--drain-deadline" => {
-                let secs: f64 = it
-                    .next()
-                    .expect("--drain-deadline needs seconds")
-                    .parse()
-                    .expect("drain deadline must be a number of seconds");
-                if secs <= 0.0 || secs.is_nan() {
+                drain_deadline = flag_secs(&mut it, "--drain-deadline");
+                if drain_deadline.is_zero() {
                     eprintln!("--drain-deadline must be positive");
                     return ExitCode::Usage;
                 }
-                drain_deadline = Duration::from_secs_f64(secs);
             }
-            "--requests" => {
-                soak_requests = it
-                    .next()
-                    .expect("--requests needs a count")
-                    .parse()
-                    .expect("requests must be an integer");
-            }
+            "--requests" => soak_requests = flag_value(&mut it, "--requests", "a count"),
             "--timings" => timings = true,
             "--chaos-soak" => chaos_soak = true,
             "--cache" => cache_dir = Some("out/store".to_string()),
@@ -1072,23 +1041,29 @@ fn run_measure_cmd(args: &[String]) -> ExitCode {
     ExitCode::Clean
 }
 
-fn run_cmd(cmd: &str, arg: Option<&str>, ctx: &ExpCtx, out: &Output) -> Result<(), UnitError> {
+fn run_cmd(
+    cmd: &str,
+    arg: Option<&str>,
+    ctx: &ExpCtx,
+    run: &RunCtx,
+    out: &Output,
+) -> Result<(), UnitError> {
     if ALL_UNITS.contains(&cmd) || cmd == "fig4" {
         eprintln!(">>> {cmd}");
     }
     let _ = out.take_degraded(); // drop leftovers from an aborted attempt
-    out.mark_trace();
+    out.mark_trace(run);
     match cmd {
-        "tab1" => out.table(&exp::tab1::run(ctx)),
+        "tab1" => out.table(&exp::tab1::run(ctx, run)),
         "fig2" => {
             for panel in ["canonical", "measured", "generated", "degree-based"] {
                 for metric in exp::fig2::Metric::all() {
-                    out.figure(&exp::fig2::run(ctx, panel, metric));
+                    out.figure(&exp::fig2::run(ctx, run, panel, metric));
                 }
             }
             println!("# qualitative checks (paper §4.1–4.3):");
             let mut failed = Vec::new();
-            for (claim, holds) in exp::fig2::qualitative_checks(ctx) {
+            for (claim, holds) in exp::fig2::qualitative_checks(ctx, run) {
                 println!("#   [{}] {}", if holds { "PASS" } else { "FAIL" }, claim);
                 if !holds {
                     failed.push(claim);
@@ -1102,55 +1077,55 @@ fn run_cmd(cmd: &str, arg: Option<&str>, ctx: &ExpCtx, out: &Output) -> Result<(
                 )));
             }
         }
-        "fig3" | "fig4" => out.figure(&exp::fig3::run(ctx)),
-        "fig5" => out.table(&exp::fig5::run(ctx)),
-        "fig6" => out.figure(&exp::fig6::run(ctx)),
+        "fig3" | "fig4" => out.figure(&exp::fig3::run(ctx, run)),
+        "fig5" => out.table(&exp::fig5::run(ctx, run)),
+        "fig6" => out.figure(&exp::fig6::run(ctx, run)),
         "fig7" => {
-            out.figure(&exp::fig7::run_eigen(ctx));
-            out.figure(&exp::fig7::run_diameter(ctx));
+            out.figure(&exp::fig7::run_eigen(ctx, run));
+            out.figure(&exp::fig7::run_diameter(ctx, run));
         }
         "fig8" => {
-            out.figure(&exp::fig8::run_cover(ctx));
-            out.figure(&exp::fig8::run_bicon(ctx));
+            out.figure(&exp::fig8::run_cover(ctx, run));
+            out.figure(&exp::fig8::run_bicon(ctx, run));
         }
         "fig9" => {
-            out.figure(&exp::fig9::run(ctx, Removal::Attack));
-            out.figure(&exp::fig9::run(ctx, Removal::Error));
+            out.figure(&exp::fig9::run(ctx, run, Removal::Attack));
+            out.figure(&exp::fig9::run(ctx, run, Removal::Error));
         }
         "fig10" => {
-            out.figure(&exp::fig10::run(ctx));
-            out.table(&exp::fig10::whole_graph_table(ctx));
+            out.figure(&exp::fig10::run(ctx, run));
+            out.table(&exp::fig10::whole_graph_table(ctx, run));
         }
-        "fig11" => out.table(&exp::fig11::run(ctx)),
+        "fig11" => out.table(&exp::fig11::run(ctx, run)),
         "fig12" => {
-            let (ccdf, figs) = exp::fig12::run(ctx);
+            let (ccdf, figs) = exp::fig12::run(ctx, run);
             out.figure(&ccdf);
             for f in figs {
                 out.figure(&f);
             }
         }
-        "fig13" => out.table(&exp::fig12::run_modified(ctx)),
-        "fig14" => out.figure(&exp::fig3::run_variants(ctx)),
+        "fig13" => out.table(&exp::fig12::run_modified(ctx, run)),
+        "fig14" => out.figure(&exp::fig3::run_variants(ctx, run)),
         "fig15" => {
-            out.table(&exp::fig15::run(ctx));
-            out.table(&exp::fig15::run_overlay(ctx));
+            out.table(&exp::fig15::run(ctx, run));
+            out.table(&exp::fig15::run_overlay(ctx, run));
         }
         "tab-signature" => {
-            let (table, timings) = exp::signatures::run_signature_table_timed(ctx);
+            let (table, timings) = exp::signatures::run_signature_table_timed(ctx, run);
             out.table(&table);
-            out.timing_report(&table.id, &timings);
+            out.timing_report(&table.id, &timings, run);
         }
         "tab-hierarchy" => {
-            let (table, timings) = exp::signatures::run_hierarchy_table_timed(ctx);
+            let (table, timings) = exp::signatures::run_hierarchy_table_timed(ctx, run);
             out.table(&table);
-            out.timing_report(&table.id, &timings);
+            out.timing_report(&table.id, &timings, run);
         }
-        "bgp-vs-policy" => out.table(&exp::bgp::run(ctx)),
-        "robustness-snapshots" => out.table(&exp::robustness::run_snapshots(ctx)),
-        "robustness-incompleteness" => out.table(&exp::robustness::run_incompleteness(ctx)),
-        "ablation-ts" => out.table(&exp::ablations::run_ts_redundancy(ctx)),
-        "ablation-extremes" => out.table(&exp::ablations::run_extremes(ctx)),
-        "ablation-distortion" => out.table(&exp::ablations::run_distortion_polish(ctx)),
+        "bgp-vs-policy" => out.table(&exp::bgp::run(ctx, run)),
+        "robustness-snapshots" => out.table(&exp::robustness::run_snapshots(ctx, run)),
+        "robustness-incompleteness" => out.table(&exp::robustness::run_incompleteness(ctx, run)),
+        "ablation-ts" => out.table(&exp::ablations::run_ts_redundancy(ctx, run)),
+        "ablation-extremes" => out.table(&exp::ablations::run_extremes(ctx, run)),
+        "ablation-distortion" => out.table(&exp::ablations::run_distortion_polish(ctx, run)),
         "load-measured" => {
             let path = arg.expect("validated in main");
             let m = topogen_measured::load_measured(path)

@@ -7,16 +7,17 @@ use crate::ExpCtx;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topogen_core::report::{FigureData, Series, TableData};
+use topogen_core::RunCtx;
 use topogen_metrics::balls::{sample_centers, PlainBalls};
 use topogen_metrics::clustering::{clustering_curve, graph_clustering};
 
 /// The ball-growing clustering curves.
-pub fn run(ctx: &ExpCtx) -> FigureData {
+pub fn run(ctx: &ExpCtx, run: &RunCtx) -> FigureData {
     let centers_n = if ctx.quick { 8 } else { 24 };
     let max_ball = if ctx.quick { 1_500 } else { 5_000 };
     zoo_figure_degraded(
-        ctx.scale,
-        ctx.seed,
+        ctx,
+        run,
         "fig10-clustering",
         "ball size",
         "clustering coefficient",
@@ -33,8 +34,8 @@ pub fn run(ctx: &ExpCtx) -> FigureData {
 }
 
 /// Whole-graph clustering coefficients (the §4.4 caveat table).
-pub fn whole_graph_table(ctx: &ExpCtx) -> TableData {
-    let zoo = build_zoo_degraded(ctx.scale, ctx.seed);
+pub fn whole_graph_table(ctx: &ExpCtx, run: &RunCtx) -> TableData {
+    let zoo = build_zoo_degraded(ctx, run);
     let rows = zoo
         .built
         .iter()
@@ -64,7 +65,7 @@ mod tests {
 
     #[test]
     fn canonical_clustering_zero() {
-        let t = whole_graph_table(&ExpCtx::default());
+        let t = whole_graph_table(&ExpCtx::default(), &RunCtx::new());
         for name in ["Tree", "Mesh"] {
             let row = t.rows.iter().find(|r| r[0] == name).unwrap();
             let c: f64 = row[1].parse().unwrap();
@@ -74,7 +75,7 @@ mod tests {
 
     #[test]
     fn curves_bounded() {
-        let f = run(&ExpCtx::default());
+        let f = run(&ExpCtx::default(), &RunCtx::new());
         for s in &f.series {
             assert!(s.y.iter().all(|&c| (0.0..=1.0).contains(&c)), "{}", s.label);
         }

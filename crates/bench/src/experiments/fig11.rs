@@ -11,6 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topogen_core::report::TableData;
 use topogen_core::zoo::Scale;
+use topogen_core::RunCtx;
 use topogen_generators::plrg::{plrg, PlrgParams};
 use topogen_generators::tiers::{tiers, TiersParams};
 use topogen_generators::transit_stub::{transit_stub, TransitStubParams};
@@ -19,7 +20,7 @@ use topogen_graph::components::largest_component;
 
 /// Run the sweep. At `Scale::Small`/quick the node counts are divided by
 /// 4 to keep the Waxman O(n²) generation and the metric-free table fast.
-pub fn run(ctx: &ExpCtx) -> TableData {
+pub fn run(ctx: &ExpCtx, _run: &RunCtx) -> TableData {
     let div = if ctx.quick || ctx.scale == Scale::Small {
         4
     } else {
@@ -143,7 +144,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_all_families() {
-        let t = run(&ExpCtx::default());
+        let t = run(&ExpCtx::default(), &RunCtx::new());
         let count = |fam: &str| t.rows.iter().filter(|r| r[0] == fam).count();
         assert_eq!(count("PLRG"), 4);
         assert_eq!(count("TS"), 9);
@@ -153,7 +154,7 @@ mod tests {
 
     #[test]
     fn ts_extra_edges_raise_degree() {
-        let t = run(&ExpCtx::default());
+        let t = run(&ExpCtx::default(), &RunCtx::new());
         let ts: Vec<f64> = t
             .rows
             .iter()
@@ -167,7 +168,7 @@ mod tests {
 
     #[test]
     fn waxman_beta_raises_degree() {
-        let t = run(&ExpCtx::default());
+        let t = run(&ExpCtx::default(), &RunCtx::new());
         let w: Vec<(String, f64)> = t
             .rows
             .iter()

@@ -5,6 +5,7 @@
 
 use crate::ExpCtx;
 use topogen_core::report::TableData;
+use topogen_core::RunCtx;
 use topogen_graph::Graph;
 use topogen_policy::balls::policy_ball;
 use topogen_policy::overlay::RouterOverlay;
@@ -45,7 +46,7 @@ pub fn figure15_graph() -> (Graph, AsAnnotations) {
 }
 
 /// Ball memberships around A for radii 0..=4, as a table (names A..H).
-pub fn run(_ctx: &ExpCtx) -> TableData {
+pub fn run(_ctx: &ExpCtx, _run: &RunCtx) -> TableData {
     let (g, ann) = figure15_graph();
     let names = ["A", "B", "C", "D", "E", "F", "G", "H"];
     let mut rows = Vec::new();
@@ -70,7 +71,7 @@ pub fn run(_ctx: &ExpCtx) -> TableData {
 /// The RL half of Appendix E: expand the Figure 15 ASes into a toy
 /// router overlay (one router per AS, chained through the AS structure)
 /// and report router-level policy distances from A's router.
-pub fn run_overlay(_ctx: &ExpCtx) -> TableData {
+pub fn run_overlay(_ctx: &ExpCtx, _run: &RunCtx) -> TableData {
     let (asg, ann) = figure15_graph();
     // One border router per AS; router adjacency mirrors AS adjacency.
     let routers = Graph::from_edges(
@@ -107,7 +108,7 @@ mod tests {
 
     #[test]
     fn paper_ball_memberships() {
-        let t = run(&ExpCtx::default());
+        let t = run(&ExpCtx::default(), &RunCtx::new());
         // h=3: A B C D E H (F and G enter at 4).
         assert_eq!(t.rows[3][1], "A B C D E H");
         assert_eq!(t.rows[4][1], "A B C D E F G H");
@@ -118,7 +119,7 @@ mod tests {
 
     #[test]
     fn overlay_distances_match_as_policy() {
-        let t = run_overlay(&ExpCtx::default());
+        let t = run_overlay(&ExpCtx::default(), &RunCtx::new());
         let get = |n: &str| {
             t.rows
                 .iter()

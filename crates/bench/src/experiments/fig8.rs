@@ -6,6 +6,7 @@ use crate::ExpCtx;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topogen_core::report::{FigureData, Series};
+use topogen_core::RunCtx;
 use topogen_metrics::balls::{sample_centers, PlainBalls};
 use topogen_metrics::bicon_metric::bicon_curve;
 use topogen_metrics::cover::cover_curve;
@@ -17,11 +18,11 @@ fn to_series(name: &str, curve: &[CurvePoint]) -> Series {
     Series::new(name, &x, &y)
 }
 
-fn run_ball_metric(ctx: &ExpCtx, id: &str, y_label: &str, which: &str) -> FigureData {
+fn run_ball_metric(ctx: &ExpCtx, run: &RunCtx, id: &str, y_label: &str, which: &str) -> FigureData {
     let centers_n = if ctx.quick { 8 } else { 24 };
     let max_ball = if ctx.quick { 1_200 } else { 4_000 };
     let max_h = if ctx.quick { 40 } else { 64 };
-    zoo_figure_degraded(ctx.scale, ctx.seed, id, "ball size", y_label, |t| {
+    zoo_figure_degraded(ctx, run, id, "ball size", y_label, |t| {
         // The RL graph at quick settings is large; its balls are capped
         // like everything else's, so it stays included.
         let src = PlainBalls { graph: &t.graph };
@@ -37,14 +38,15 @@ fn run_ball_metric(ctx: &ExpCtx, id: &str, y_label: &str, which: &str) -> Figure
 }
 
 /// Figure 8(a–c): vertex cover growth.
-pub fn run_cover(ctx: &ExpCtx) -> FigureData {
-    run_ball_metric(ctx, "fig8-vertex-cover", "vertex cover", "cover")
+pub fn run_cover(ctx: &ExpCtx, run: &RunCtx) -> FigureData {
+    run_ball_metric(ctx, run, "fig8-vertex-cover", "vertex cover", "cover")
 }
 
 /// Figure 8(d–f): biconnected-component growth.
-pub fn run_bicon(ctx: &ExpCtx) -> FigureData {
+pub fn run_bicon(ctx: &ExpCtx, run: &RunCtx) -> FigureData {
     run_ball_metric(
         ctx,
+        run,
         "fig8-biconnectivity",
         "number of biconnected components",
         "bicon",
@@ -61,7 +63,7 @@ mod tests {
             quick: true,
             ..Default::default()
         };
-        let f = run_cover(&ctx);
+        let f = run_cover(&ctx, &RunCtx::new());
         // Vertex cover grows monotonically with ball size for every zoo
         // member (within finite-sample noise: allow tiny dips).
         for s in &f.series {
@@ -73,7 +75,7 @@ mod tests {
 
     #[test]
     fn tree_bicon_tracks_edges() {
-        let f = run_bicon(&ExpCtx::default());
+        let f = run_bicon(&ExpCtx::default(), &RunCtx::new());
         let tree = f.series.iter().find(|s| s.label == "Tree").unwrap();
         // For trees, #biconnected components = #edges = ball size − 1.
         for (x, y) in tree.x.iter().zip(&tree.y) {

@@ -17,15 +17,17 @@ pub mod robustness;
 pub mod signatures;
 pub mod tab1;
 
-use topogen_core::zoo::{build, BuiltTopology, Scale, TopologySpec};
+use crate::ExpCtx;
+use topogen_core::zoo::{build_in, BuiltTopology, TopologySpec};
+use topogen_core::RunCtx;
 use topogen_par::{cancel, panic_message};
 
-/// Build the Figure 1 zoo (shared by most experiments). Cached per call
-/// site; building is seconds-scale at `Scale::Small`.
-pub fn build_zoo(scale: Scale, seed: u64) -> Vec<BuiltTopology> {
-    TopologySpec::figure1_zoo(scale)
+/// Build the Figure 1 zoo (shared by most experiments). Building is
+/// seconds-scale at `Scale::Small`; `run.store` caches it across runs.
+pub fn build_zoo(ctx: &ExpCtx, run: &RunCtx) -> Vec<BuiltTopology> {
+    TopologySpec::figure1_zoo(ctx.scale)
         .iter()
-        .map(|s| build(s, scale, seed))
+        .map(|s| build_in(run, s, ctx.scale, ctx.seed))
         .collect()
 }
 
@@ -61,14 +63,14 @@ pub struct ZooBuild {
 /// existing RL-at-quick-settings escape hatches); panics inside `f`
 /// become footnoted failures instead of aborting the figure.
 pub fn zoo_figure_degraded(
-    scale: Scale,
-    seed: u64,
+    ctx: &ExpCtx,
+    run: &RunCtx,
     id: impl Into<String>,
     x_label: &str,
     y_label: &str,
     mut f: impl FnMut(&BuiltTopology) -> Option<topogen_core::report::Series>,
 ) -> topogen_core::report::FigureData {
-    let zoo = build_zoo_degraded(scale, seed);
+    let zoo = build_zoo_degraded(ctx, run);
     let mut fig = topogen_core::report::FigureData::new(id, x_label, y_label, Vec::new());
     for (name, reason) in zoo.failures {
         fig.note_failure(name, reason);
@@ -84,11 +86,11 @@ pub fn zoo_figure_degraded(
 }
 
 /// [`build_zoo`] with per-topology panic isolation.
-pub fn build_zoo_degraded(scale: Scale, seed: u64) -> ZooBuild {
+pub fn build_zoo_degraded(ctx: &ExpCtx, run: &RunCtx) -> ZooBuild {
     let mut built = Vec::new();
     let mut failures = Vec::new();
-    for s in &TopologySpec::figure1_zoo(scale) {
-        match catching(|| build(s, scale, seed)) {
+    for s in &TopologySpec::figure1_zoo(ctx.scale) {
+        match catching(|| build_in(run, s, ctx.scale, ctx.seed)) {
             Ok(t) => built.push(t),
             Err(reason) => failures.push((s.name(), reason)),
         }

@@ -5,10 +5,11 @@
 use crate::experiments::catching;
 use crate::experiments::fig3::linkvalue_zoo;
 use crate::ExpCtx;
-use topogen_core::hier::{hierarchy_report_timed, HierOptions};
+use topogen_core::hier::{hierarchy_report_timed_in, HierOptions};
 use topogen_core::report::{TableData, TimingReport};
-use topogen_core::suite::{run_suite, run_suite_policy, run_suite_rl_policy, SuiteCis};
-use topogen_core::zoo::{build, Scale, TopologySpec};
+use topogen_core::suite::{run_suite_in, run_suite_policy_in, run_suite_rl_policy_in, SuiteCis};
+use topogen_core::zoo::{build_in, Scale, TopologySpec};
+use topogen_core::RunCtx;
 
 /// The paper's expected signature per topology (§4.4's table).
 pub fn paper_signature(name: &str) -> Option<&'static str> {
@@ -41,15 +42,11 @@ fn ci_cells(cis: Option<&SuiteCis>) -> [String; 3] {
 }
 
 /// The §4.4 signature table over the full zoo (plus Complete and Linear
-/// for calibration), with the paper's expected column and a match flag.
-pub fn run_signature_table(ctx: &ExpCtx) -> TableData {
-    run_signature_table_timed(ctx).0
-}
-
-/// [`run_signature_table`] plus the merged engine instrumentation of
-/// every suite run it performed (what `repro tab-signature --timings`
-/// prints and archives as `BENCH_tab-signature.json`).
-pub fn run_signature_table_timed(ctx: &ExpCtx) -> (TableData, TimingReport) {
+/// for calibration), with the paper's expected column and a match flag,
+/// plus the merged engine instrumentation of every suite run it
+/// performed (what `repro tab-signature --timings` prints and archives
+/// as `BENCH_tab-signature.json`).
+pub fn run_signature_table_timed(ctx: &ExpCtx, run: &RunCtx) -> (TableData, TimingReport) {
     let params = ctx.suite_params();
     // At the sampled-center tiers the curves are estimates over a
     // center subsample, so the table records the population and sample
@@ -72,8 +69,8 @@ pub fn run_signature_table_timed(ctx: &ExpCtx) -> (TableData, TimingReport) {
         // Per-topology isolation: a failed build or suite degrades this
         // spec's rows instead of aborting the table.
         let outcome = catching(|| {
-            let t = build(&spec, ctx.scale, ctx.seed);
-            let r = run_suite(&t, &params);
+            let t = build_in(run, &spec, ctx.scale, ctx.seed);
+            let r = run_suite_in(run, &t, &params);
             (t, r)
         });
         let (t, r) = match outcome {
@@ -106,7 +103,7 @@ pub fn run_signature_table_timed(ctx: &ExpCtx) -> (TableData, TimingReport) {
         }
         rows.push(row);
         if t.annotations.is_some() {
-            let rp = run_suite_policy(&t, &params);
+            let rp = run_suite_policy_in(run, &t, &params);
             timings.merge(&rp.timings);
             let psig = rp.signature.to_string();
             let pname = format!("{}(Policy)", t.name);
@@ -125,7 +122,7 @@ pub fn run_signature_table_timed(ctx: &ExpCtx) -> (TableData, TimingReport) {
             rows.push(row);
         }
         if t.as_overlay.is_some() {
-            let rp = run_suite_rl_policy(&t, &params);
+            let rp = run_suite_rl_policy_in(run, &t, &params);
             timings.merge(&rp.timings);
             let psig = rp.signature.to_string();
             let pname = format!("{}(Policy)", t.name);
@@ -174,24 +171,20 @@ pub fn paper_hierarchy(name: &str) -> Option<&'static str> {
     })
 }
 
-/// The §5.1 strict/moderate/loose table (with the AS policy variant).
-pub fn run_hierarchy_table(ctx: &ExpCtx) -> TableData {
-    run_hierarchy_table_timed(ctx).0
-}
-
-/// [`run_hierarchy_table`] plus the merged link-value engine
-/// instrumentation of every hierarchy analysis it performed (what
+/// The §5.1 strict/moderate/loose table (with the AS policy variant),
+/// plus the merged link-value engine instrumentation of every
+/// hierarchy analysis it performed (what
 /// `repro tab-hierarchy --timings` prints and archives as
 /// `BENCH_tab-hierarchy.json`): per-stage wall times, DAG states
 /// visited, pairs accumulated, arena bytes.
-pub fn run_hierarchy_table_timed(ctx: &ExpCtx) -> (TableData, TimingReport) {
+pub fn run_hierarchy_table_timed(ctx: &ExpCtx, run: &RunCtx) -> (TableData, TimingReport) {
     let mut timings = TimingReport::default();
     let mut rows = Vec::new();
     let mut failures: Vec<(String, String)> = Vec::new();
     for spec in linkvalue_zoo(ctx) {
         let outcome = catching(|| {
-            let t = build(&spec, ctx.scale, ctx.seed);
-            let (r, rt) = hierarchy_report_timed(&t, &HierOptions::default());
+            let t = build_in(run, &spec, ctx.scale, ctx.seed);
+            let (r, rt) = hierarchy_report_timed_in(run, &t, &HierOptions::default());
             (t, r, rt)
         });
         let (t, r, rt) = match outcome {
@@ -216,7 +209,8 @@ pub fn run_hierarchy_table_timed(ctx: &ExpCtx) -> (TableData, TimingReport) {
             ok.to_string(),
         ]);
         if t.annotations.is_some() {
-            let (rp, rpt) = hierarchy_report_timed(
+            let (rp, rpt) = hierarchy_report_timed_in(
+                run,
                 &t,
                 &HierOptions {
                     policy: true,

@@ -22,8 +22,8 @@
 //! | `fig12` / `fig13` | degree-based variants & PLRG re-wiring | [`experiments::fig12::run`] |
 //! | `fig14` | link values of PLRG variants | [`experiments::fig3::run_variants`] |
 //! | `fig15` | policy-induced ball example | [`experiments::fig15::run`] |
-//! | `tab-signature` | §3.2.1 + §4.4 L/H tables | [`experiments::signatures::run_signature_table`] |
-//! | `tab-hierarchy` | §5.1 strict/moderate/loose table | [`experiments::signatures::run_hierarchy_table`] |
+//! | `tab-signature` | §3.2.1 + §4.4 L/H tables | [`experiments::signatures::run_signature_table_timed`] |
+//! | `tab-hierarchy` | §5.1 strict/moderate/loose table | [`experiments::signatures::run_hierarchy_table_timed`] |
 //! | `bgp-vs-policy` | Gao–Rexford BGP vs the paper's policy model | [`experiments::bgp::run`] |
 //! | `robustness-snapshots` | §3.1.1 snapshot stability | [`experiments::robustness::run_snapshots`] |
 //! | `robustness-incompleteness` | §3.1.1 incompleteness caveat | [`experiments::robustness::run_incompleteness`] |

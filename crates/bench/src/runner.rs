@@ -1,11 +1,11 @@
 //! Fault-tolerant execution of the experiment suite.
 //!
 //! Each experiment runs as an isolated *unit*: on its own thread, under
-//! `catch_unwind`, with an optional per-unit wall-clock deadline
-//! (cooperatively enforced — the engines check the ambient
-//! [`topogen_par::Deadline`] between chunks and at phase boundaries) and
-//! bounded retry-with-reseed for stochastic failures. Every unit's
-//! outcome lands in a [`RunLedger`] (`out/run-ledger.json`): status,
+//! `catch_unwind`, under the run's [`RunCtx`] plus an optional per-unit
+//! wall-clock deadline (cooperatively enforced — the engines check the
+//! context's [`topogen_par::Deadline`] between chunks and at phase
+//! boundaries), with bounded retry-with-reseed for stochastic failures.
+//! Every unit's outcome lands in a [`RunLedger`] (`out/run-ledger.json`): status,
 //! duration, attempt count, and the redacted panic payload. `--resume`
 //! skips units the ledger already shows completed; `--keep-going` runs
 //! the rest of the suite past a failure; the process exit code reflects
@@ -15,6 +15,7 @@ use serde::{Content, DeError, Deserialize, Serialize};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use topogen_core::RunCtx;
 use topogen_par::{cancel, faults, panic_message, trace};
 
 /// Extra wall-clock slack past the deadline before the runner abandons
@@ -41,20 +42,24 @@ impl UnitError {
     }
 }
 
+/// The body of a [`Unit`]: attempt number and the attempt's run context.
+type Work = dyn Fn(u64, &RunCtx) -> Result<(), UnitError> + Send + Sync;
+
 /// One isolated piece of suite work. `work` receives the attempt number
-/// (0 = first try) so retries can reseed deterministically.
+/// (0 = first try) so retries can reseed deterministically, and the
+/// attempt's run context (the run's context plus the unit deadline).
 pub struct Unit {
     /// Stable id (the `repro` experiment name).
     pub id: String,
     /// The work; panics are caught by the runner.
-    pub work: Arc<dyn Fn(u64) -> Result<(), UnitError> + Send + Sync>,
+    pub work: Arc<Work>,
 }
 
 impl Unit {
     /// Convenience constructor.
     pub fn new(
         id: impl Into<String>,
-        work: impl Fn(u64) -> Result<(), UnitError> + Send + Sync + 'static,
+        work: impl Fn(u64, &RunCtx) -> Result<(), UnitError> + Send + Sync + 'static,
     ) -> Unit {
         Unit {
             id: id.into(),
@@ -406,10 +411,11 @@ enum Attempt {
 }
 
 /// Run one attempt of `work` on its own thread, under `catch_unwind`
-/// and (when configured) an ambient deadline.
+/// and `run` (with the unit deadline, when configured, attached).
 fn run_attempt(
-    work: &Arc<dyn Fn(u64) -> Result<(), UnitError> + Send + Sync>,
+    work: &Arc<Work>,
     attempt: u64,
+    run: &RunCtx,
     deadline: Option<Duration>,
 ) -> Attempt {
     // The attempt span opens on the runner thread (so timed-out,
@@ -419,18 +425,23 @@ fn run_attempt(
     let trace_parent = trace::current_parent();
     let (tx, rx) = mpsc::channel();
     let work = Arc::clone(work);
-    let ambient = deadline.map(cancel::Deadline::after);
-    let thread_ambient = ambient.clone();
+    let mut attempt_run = run.clone();
+    if let Some(limit) = deadline {
+        attempt_run.deadline = Some(cancel::Deadline::after(limit));
+    }
+    let token = attempt_run.deadline.as_ref().map(cancel::Deadline::token);
     let builder = std::thread::Builder::new()
         .name("topogen-unit".to_string())
         // Deep generator/metric recursion fits comfortably; match the
         // main thread rather than the 2 MiB spawn default.
         .stack_size(16 * 1024 * 1024);
     let handle = builder.spawn(move || {
-        let body = || std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(attempt)));
-        let result = trace::with_parent(trace_parent, || match thread_ambient {
-            Some(d) => cancel::with_deadline(d, body),
-            None => body(),
+        let result = trace::with_parent(trace_parent, || {
+            attempt_run.scope(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    work(attempt, &attempt_run)
+                }))
+            })
         });
         // The receiver may have abandoned us after the grace period.
         let _ = tx.send(result);
@@ -448,8 +459,8 @@ fn run_attempt(
                 // Cooperative cancellation did not land in time: tell
                 // the workers once more and abandon the thread (it will
                 // unwind at its next checkpoint).
-                if let Some(d) = &ambient {
-                    d.token().cancel();
+                if let Some(t) = &token {
+                    t.cancel();
                 }
                 drop(handle);
                 return Attempt::TimedOut;
@@ -473,8 +484,26 @@ fn run_attempt(
     }
 }
 
-/// Execute `units` in order under the runner's fault-isolation policy.
-pub fn run_units(units: &[Unit], opts: &RunnerOptions, seed: u64, scale: &str) -> RunReport {
+/// Execute `units` in order under the runner's fault-isolation policy,
+/// each attempt under `run` plus the unit deadline. The runner's own
+/// spans (suite, unit, attempt) land in `run`'s trace sink.
+pub fn run_units(
+    units: &[Unit],
+    opts: &RunnerOptions,
+    run: &RunCtx,
+    seed: u64,
+    scale: &str,
+) -> RunReport {
+    run.scope(|| run_units_scoped(units, opts, run, seed, scale))
+}
+
+fn run_units_scoped(
+    units: &[Unit],
+    opts: &RunnerOptions,
+    run: &RunCtx,
+    seed: u64,
+    scale: &str,
+) -> RunReport {
     let prior = match (&opts.ledger_path, opts.resume) {
         (Some(path), true) => match RunLedger::load(path) {
             Ok(l) if l.seed != seed || l.scale != scale => {
@@ -513,7 +542,8 @@ pub fn run_units(units: &[Unit], opts: &RunnerOptions, seed: u64, scale: &str) -
         executed.push(unit.id.clone());
         faults::set_current_unit(Some(&unit.id));
         let unit_span = trace::span_labeled("unit", &unit.id);
-        let store_before = topogen_store::ambient::counters();
+        let store_counters = || run.store.as_ref().map(|s| s.counters().snapshot());
+        let store_before = store_counters();
         let started = Instant::now();
         let mut attempts = 0u64;
         let mut entry: Option<LedgerUnit> = None;
@@ -532,7 +562,7 @@ pub fn run_units(units: &[Unit], opts: &RunnerOptions, seed: u64, scale: &str) -
             // threads are dropped).
             let _ = topogen_par::take_arena_highwater();
             let _ = topogen_par::take_spill_runs();
-            match run_attempt(&unit.work, attempt, opts.deadline) {
+            match run_attempt(&unit.work, attempt, run, opts.deadline) {
                 Attempt::Success => {
                     entry = Some(LedgerUnit {
                         id: unit.id.clone(),
@@ -641,7 +671,7 @@ pub fn run_units(units: &[Unit], opts: &RunnerOptions, seed: u64, scale: &str) -
             0 => {}
             runs => entry.spill_runs = Some(runs),
         }
-        if let (Some(before), Some(after)) = (store_before, topogen_store::ambient::counters()) {
+        if let (Some(before), Some(after)) = (store_before, store_counters()) {
             let d = before.delta_to(&after);
             if !d.is_zero() {
                 entry.cache = Some(CacheBlock {
@@ -698,7 +728,7 @@ mod tests {
         counter: Arc<AtomicU64>,
         behavior: impl Fn(u64) -> Result<(), UnitError> + Send + Sync + 'static,
     ) -> Unit {
-        Unit::new(id, move |attempt| {
+        Unit::new(id, move |attempt, _| {
             counter.fetch_add(1, Ordering::SeqCst);
             behavior(attempt)
         })
@@ -709,7 +739,7 @@ mod tests {
         let ran = Arc::new(AtomicU64::new(0));
         let units = vec![
             counting_unit("a", ran.clone(), |_| Ok(())),
-            Unit::new("b", |_| panic!("unit b exploded")),
+            Unit::new("b", |_, _| panic!("unit b exploded")),
             counting_unit("c", ran.clone(), |_| Ok(())),
         ];
         let opts = RunnerOptions {
@@ -717,7 +747,7 @@ mod tests {
             retries: 0,
             ..Default::default()
         };
-        let report = run_units(&units, &opts, 42, "small");
+        let report = run_units(&units, &opts, &RunCtx::new(), 42, "small");
         assert_eq!(report.exit_code, crate::ExitCode::Failures);
         assert_eq!(ran.load(Ordering::SeqCst), 2, "a and c both ran");
         let statuses: Vec<_> = report.ledger.units.iter().map(|u| u.status).collect();
@@ -733,14 +763,14 @@ mod tests {
     fn stop_on_first_failure_without_keep_going() {
         let ran = Arc::new(AtomicU64::new(0));
         let units = vec![
-            Unit::new("a", |_| panic!("down")),
+            Unit::new("a", |_, _| panic!("down")),
             counting_unit("b", ran.clone(), |_| Ok(())),
         ];
         let opts = RunnerOptions {
             retries: 0,
             ..Default::default()
         };
-        let report = run_units(&units, &opts, 1, "small");
+        let report = run_units(&units, &opts, &RunCtx::new(), 1, "small");
         assert_eq!(report.exit_code, crate::ExitCode::Failures);
         assert_eq!(report.ledger.units.len(), 1);
         assert_eq!(ran.load(Ordering::SeqCst), 0, "b never ran");
@@ -748,7 +778,7 @@ mod tests {
 
     #[test]
     fn retry_with_reseed_flips_stochastic_failure_to_retried() {
-        let unit = Unit::new("flaky", |attempt| {
+        let unit = Unit::new("flaky", |attempt, _| {
             if attempt == 0 {
                 panic!("bad seed");
             }
@@ -758,7 +788,7 @@ mod tests {
             retries: 1,
             ..Default::default()
         };
-        let report = run_units(&[unit], &opts, 9, "small");
+        let report = run_units(&[unit], &opts, &RunCtx::new(), 9, "small");
         assert_eq!(report.exit_code, crate::ExitCode::Clean);
         let u = &report.ledger.units[0];
         assert_eq!(u.status, UnitStatus::Retried);
@@ -777,7 +807,7 @@ mod tests {
             keep_going: true,
             ..Default::default()
         };
-        let report = run_units(&[unit], &opts, 2, "small");
+        let report = run_units(&[unit], &opts, &RunCtx::new(), 2, "small");
         assert_eq!(report.exit_code, crate::ExitCode::LoadError);
         assert_eq!(tries.load(Ordering::SeqCst), 1, "load errors never retry");
         assert_eq!(
@@ -790,7 +820,7 @@ mod tests {
     fn deadline_expiry_is_timed_out_not_a_hang() {
         // The unit sleeps far past the deadline but checkpoints after,
         // exactly like a delay fault inside an engine phase.
-        let unit = Unit::new("slow", |_| {
+        let unit = Unit::new("slow", |_, _| {
             std::thread::sleep(Duration::from_millis(150));
             cancel::checkpoint();
             Ok(())
@@ -801,7 +831,7 @@ mod tests {
             ..Default::default()
         };
         let started = Instant::now();
-        let report = run_units(&[unit], &opts, 3, "small");
+        let report = run_units(&[unit], &opts, &RunCtx::new(), 3, "small");
         assert!(started.elapsed() < Duration::from_secs(5), "no hang");
         let u = &report.ledger.units[0];
         assert_eq!(u.status, UnitStatus::TimedOut);
@@ -820,8 +850,8 @@ mod tests {
         let path = dir.join("run-ledger.json").to_string_lossy().to_string();
 
         let first = vec![
-            Unit::new("good", |_| Ok(())),
-            Unit::new("bad", |_| panic!("first pass fails")),
+            Unit::new("good", |_, _| Ok(())),
+            Unit::new("bad", |_, _| panic!("first pass fails")),
         ];
         let opts = RunnerOptions {
             keep_going: true,
@@ -829,7 +859,7 @@ mod tests {
             ledger_path: Some(path.clone()),
             ..Default::default()
         };
-        let r1 = run_units(&first, &opts, 7, "small");
+        let r1 = run_units(&first, &opts, &RunCtx::new(), 7, "small");
         assert_eq!(r1.exit_code, crate::ExitCode::Failures);
         assert_eq!(r1.executed, vec!["good", "bad"]);
 
@@ -837,13 +867,13 @@ mod tests {
         let good_runs = Arc::new(AtomicU64::new(0));
         let second = vec![
             counting_unit("good", good_runs.clone(), |_| Ok(())),
-            Unit::new("bad", |_| Ok(())),
+            Unit::new("bad", |_, _| Ok(())),
         ];
         let opts2 = RunnerOptions {
             resume: true,
             ..opts
         };
-        let r2 = run_units(&second, &opts2, 7, "small");
+        let r2 = run_units(&second, &opts2, &RunCtx::new(), 7, "small");
         assert_eq!(r2.exit_code, crate::ExitCode::Clean);
         assert_eq!(r2.executed, vec!["bad"], "only the failed unit re-ran");
         assert_eq!(good_runs.load(Ordering::SeqCst), 0);
@@ -948,7 +978,13 @@ mod tests {
             ledger_path: Some(path.clone()),
             ..Default::default()
         };
-        let r1 = run_units(&[Unit::new("good", |_| Ok(()))], &opts, 7, "small");
+        let r1 = run_units(
+            &[Unit::new("good", |_, _| Ok(()))],
+            &opts,
+            &RunCtx::new(),
+            7,
+            "small",
+        );
         assert_eq!(r1.exit_code, crate::ExitCode::Clean);
 
         // Second pass resumes with a store configured: the prior
@@ -965,6 +1001,7 @@ mod tests {
         let r2 = run_units(
             &[counting_unit("good", ran.clone(), |_| Ok(()))],
             &opts2,
+            &RunCtx::new(),
             7,
             "small",
         );

@@ -6,7 +6,7 @@ use crate::gen;
 use crate::invariant::{Check, Suite};
 use topogen_core::ctx::RunCtx;
 use topogen_core::suite::{run_suite_in, SuiteParams, SuiteResult};
-use topogen_core::zoo::{build, Scale, TopologySpec};
+use topogen_core::zoo::{build_in, Scale, TopologySpec};
 use topogen_graph::bfs;
 use topogen_graph::bfs_bitset::{self, BfsStats};
 use topogen_graph::NodeId;
@@ -177,7 +177,7 @@ fn zoo_archive_kernel_identity(_seed: u64) -> Result<(), String> {
         });
     }
     for spec in zoo {
-        let t = build(&spec, Scale::Small, build_seed);
+        let t = build_in(&RunCtx::new(), &spec, Scale::Small, build_seed);
         let run =
             |policy: KernelPolicy| run_suite_in(&RunCtx::new().with_kernel(policy), &t, &params);
         let scalar = run(KernelPolicy::Scalar);

@@ -129,13 +129,16 @@ impl Deserialize for FigureData {
     }
 }
 
-/// One engine phase's accumulated wall time (serializable mirror of
-/// [`topogen_par::PhaseTiming`]).
+/// One engine phase's accumulated time (serializable mirror of
+/// [`topogen_par::PhaseTiming`]). Phases timed inside worker threads sum
+/// across those threads, so they are CPU-style totals that can exceed
+/// the elapsed time; only `"total"` is wall-clock.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TimingPhase {
     /// Phase name (`"balls"`, `"distances"`, a metric's name, `"total"`).
     pub name: String,
-    /// Accumulated wall time in seconds (summed across worker threads).
+    /// Accumulated time in seconds: summed across worker threads for
+    /// the per-phase entries, wall-clock for `"total"`.
     pub seconds: f64,
 }
 
@@ -155,7 +158,8 @@ pub struct SpanRollup {
 
 /// Per-run instrumentation from the parallel engines: traversal and
 /// ball-construction counts from the shared-ball metrics engine, the
-/// hierarchy stage's DAG/pair/arena volumes, and per-phase wall times.
+/// hierarchy stage's DAG/pair/arena volumes, and per-phase times
+/// (summed over worker threads; only `total` is wall-clock).
 /// Serializable mirror of [`topogen_par::InstrumentReport`]; the
 /// `repro` binary prints it with `--timings` and archives it as
 /// `BENCH_*.json`.
@@ -199,7 +203,8 @@ pub struct TimingReport {
     pub store_bytes_read: u64,
     /// Bytes of new store entries written.
     pub store_bytes_written: u64,
-    /// Per-phase accumulated wall times.
+    /// Per-phase accumulated times, summed over worker threads (see
+    /// [`TimingPhase`]); only the `"total"` entry is wall-clock.
     pub phases: Vec<TimingPhase>,
     /// Trace span rollups (populated only under `--trace`).
     pub spans: Vec<SpanRollup>,

@@ -283,25 +283,16 @@ pub struct BuiltTopology {
     pub spec: TopologySpec,
 }
 
-/// Build a topology deterministically from `seed`, under the ambient
-/// compatibility context (process-global store, thread deadline, active
-/// trace sink) — the batch CLI's entry point. Equivalent to
-/// `build_in(&RunCtx::ambient(), …)`; concurrent callers construct a
-/// [`RunCtx`](crate::ctx::RunCtx) instead.
-pub fn build(spec: &TopologySpec, scale: Scale, seed: u64) -> BuiltTopology {
-    build_in(&crate::ctx::RunCtx::ambient(), spec, scale, seed)
-}
-
-/// [`build`] against an explicit context.
+/// Build a topology deterministically from `seed` under `ctx`.
 ///
 /// When `ctx.store` is set (`repro --cache`, or the serve daemon's
 /// shared store), the build is served from disk when a matching entry
 /// exists and persisted after computing otherwise — the codec
 /// round-trip is exact, so cached and computed results are
-/// indistinguishable downstream. The CLI never supplies a store while
+/// indistinguishable downstream. `repro` never attaches a store while
 /// `TOPOGEN_FAULTS` is armed, so fault-perturbed builds are never
-/// cached. The context's deadline and trace sink are installed around
-/// the compute path.
+/// cached. The context's deadline and trace sink are scoped around
+/// the compute path, and `ctx.mem_budget` selects streamed builds.
 pub fn build_in(
     ctx: &crate::ctx::RunCtx,
     spec: &TopologySpec,
@@ -407,7 +398,7 @@ fn build_uncached(
         TopologySpec::NLevel(p) => (p.generate(&mut rng), None, None),
         TopologySpec::PlrgRewired(inner) => {
             // Recurse with the same context so the base build caches
-            // against the explicit store, not whatever is ambient.
+            // against the same store.
             let base = build_in(ctx, inner, scale, seed);
             let rewired = rewire_as_plrg(&base.graph, &mut rng);
             (largest_component(&rewired).0, None, None)
@@ -478,6 +469,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::RunCtx;
     use topogen_graph::components::is_connected;
 
     #[test]
@@ -486,7 +478,7 @@ mod tests {
             if spec == TopologySpec::MeasuredRl {
                 continue; // exercised separately (slow)
             }
-            let t = build(&spec, Scale::Small, 7);
+            let t = build_in(&RunCtx::new(), &spec, Scale::Small, 7);
             assert!(
                 is_connected(&t.graph),
                 "{} not connected ({} nodes)",
@@ -512,7 +504,7 @@ mod tests {
 
     #[test]
     fn measured_as_has_annotations() {
-        let t = build(&TopologySpec::MeasuredAs, Scale::Small, 1);
+        let t = build_in(&RunCtx::new(), &TopologySpec::MeasuredAs, Scale::Small, 1);
         assert!(t.annotations.is_some());
         let ann = t.annotations.as_ref().unwrap();
         // Alignment invariant: one relationship per edge.
@@ -524,7 +516,7 @@ mod tests {
 
     #[test]
     fn measured_rl_has_router_map() {
-        let t = build(&TopologySpec::MeasuredRl, Scale::Small, 1);
+        let t = build_in(&RunCtx::new(), &TopologySpec::MeasuredRl, Scale::Small, 1);
         assert!(t.router_as.is_some());
         assert_eq!(t.router_as.as_ref().unwrap().len(), t.graph.node_count());
         assert!(is_connected(&t.graph));
@@ -537,15 +529,15 @@ mod tests {
             alpha: 2.3,
             max_degree: None,
         });
-        let a = build(&s, Scale::Small, 9);
-        let b = build(&s, Scale::Small, 9);
+        let a = build_in(&RunCtx::new(), &s, Scale::Small, 9);
+        let b = build_in(&RunCtx::new(), &s, Scale::Small, 9);
         assert_eq!(a.graph.edges(), b.graph.edges());
     }
 
     #[test]
     fn rewired_variant_builds() {
         let s = TopologySpec::PlrgRewired(Box::new(TopologySpec::Ba(BaParams { n: 300, m: 2 })));
-        let t = build(&s, Scale::Small, 3);
+        let t = build_in(&RunCtx::new(), &s, Scale::Small, 3);
         assert!(t.graph.node_count() > 200);
     }
 
@@ -567,8 +559,8 @@ mod tests {
                 max_degree: None,
             }),
         ];
-        let plain = crate::ctx::RunCtx::new();
-        let budgeted = crate::ctx::RunCtx::new().with_mem_budget(Some(64 * 1024));
+        let plain = RunCtx::new();
+        let budgeted = RunCtx::new().with_mem_budget(Some(64 * 1024));
         for spec in specs {
             let a = build_in(&plain, &spec, Scale::Small, 13);
             let b = build_in(&budgeted, &spec, Scale::Small, 13);
@@ -585,7 +577,7 @@ mod tests {
     #[test]
     fn degree_based_zoo_heavy_tailed() {
         for spec in TopologySpec::degree_based_zoo(Scale::Small) {
-            let t = build(&spec, Scale::Small, 11);
+            let t = build_in(&RunCtx::new(), &spec, Scale::Small, 11);
             let ratio = t.graph.max_degree() as f64 / t.graph.average_degree();
             assert!(ratio > 5.0, "{}: max/mean degree ratio {ratio}", t.name);
         }

@@ -28,7 +28,6 @@
 //! downstream curve aggregates.
 
 use crate::balls::BallSource;
-use crate::instrument::{Instrument, InstrumentReport};
 use crate::partition::min_balanced_cut;
 use crate::CurvePoint;
 use std::cell::RefCell;
@@ -38,7 +37,7 @@ use topogen_graph::bfs_bitset::{
 };
 use topogen_graph::subgraph::induced_subgraph;
 use topogen_graph::{Graph, NodeId, UNREACHED};
-use topogen_par::par_map_threads;
+use topogen_par::{par_map_threads, Instrument, InstrumentReport};
 
 pub use topogen_graph::bfs_bitset::KernelPolicy;
 
@@ -279,13 +278,13 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
             expansion_centers: Vec::new(),
             metrics: Vec::new(),
             ctx: None,
-            kernel: topogen_graph::bfs_bitset::default_policy(),
+            kernel: KernelPolicy::Auto,
             ball_size_cap: None,
         }
     }
 
-    /// Kernel policy for this plan (defaults to the process default,
-    /// i.e. `--kernel` or `Auto`). [`KernelPolicy::Auto`] consults
+    /// Kernel policy for this plan (defaults to [`KernelPolicy::Auto`];
+    /// callers pass `RunCtx::kernel`). [`KernelPolicy::Auto`] consults
     /// [`select_kernel`]; forcing `Scalar`/`Bitset` pins the path.
     pub fn kernel(mut self, policy: KernelPolicy) -> Self {
         self.kernel = policy;
@@ -332,10 +331,11 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         self
     }
 
-    /// Run under an explicit engine context instead of whatever
-    /// deadline/sink is ambient on the calling thread — the re-entrant
-    /// path concurrent callers (one context per request) use. Without
-    /// this, [`run`](Self::run) observes the ambient state, as before.
+    /// Run under an explicit engine context (usually
+    /// `RunCtx::engine()`) instead of the deadline/sink scoped on the
+    /// calling thread — the re-entrant path concurrent callers (one
+    /// context per request) use. Without this, [`run`](Self::run)
+    /// observes the calling thread's scope.
     pub fn context(mut self, ctx: topogen_par::EngineCtx) -> Self {
         self.ctx = Some(ctx);
         self

@@ -37,17 +37,14 @@
 //! with and without policy routing, exactly as the paper reports for the
 //! AS and RL graphs. [`engine`] runs several per-ball metrics over one
 //! shared set of balls per center (one traversal serves every consumer),
-//! with [`instrument`] counting the work it saves. The scoped-thread
-//! parallel map spreading per-center computations over cores lives in
-//! the shared `topogen-par` crate (re-exported here as [`par`]), which
-//! also serves the `topogen-hierarchy` link-value pipeline (this
-//! workload is CPU-bound; threads, not async).
+//! with `topogen_par::Instrument` counting the work it saves. The
+//! scoped-thread parallel map spreading per-center computations over
+//! cores lives in the shared `topogen-par` crate, which also serves the
+//! `topogen-hierarchy` link-value pipeline (this workload is CPU-bound;
+//! threads, not async).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub use topogen_par::instrument;
-pub use topogen_par::par;
 
 pub mod balls;
 pub mod bicon_metric;
@@ -66,7 +63,6 @@ pub mod tolerance;
 pub use balls::{BallSource, PlainBalls, PolicyBalls};
 pub use engine::{BallMetric, BallPlan, MeasureCtx, PlanResult};
 pub use expansion::expansion_curve;
-pub use instrument::{Instrument, InstrumentReport};
 
 /// A point on a ball-growing curve: the average ball size and average
 /// metric value over all sampled balls of one radius.

@@ -1,20 +1,16 @@
 //! Re-entrant engine contexts.
 //!
-//! Historically the engines picked up their deadline from a thread-local
-//! (installed once per unit by the suite runner) and their trace sink
-//! from a process-global slot (installed once by the CLI). That shape
-//! cannot express two concurrent runs with *different* deadlines and
-//! trace streams in one process — exactly what a serving daemon needs.
-//!
-//! [`EngineCtx`] is the explicit alternative: a small, cloneable bundle
-//! of the ambient state an engine run depends on. [`EngineCtx::scope`]
-//! installs it thread-locally for the duration of a closure (and
-//! [`par_map`](crate::par_map) re-installs the same state inside each
-//! worker), so any number of contexts can be live at once on different
-//! threads. The process-global installers ([`trace::install`]
-//! (crate::trace::install), the runner's per-unit deadline) remain as a
-//! compatibility shim for the batch CLI; [`EngineCtx::ambient`] snapshots
-//! them into an explicit context.
+//! [`EngineCtx`] is the slice of a run's state the engines observe
+//! without taking it as a parameter: an optional cooperative deadline
+//! and an optional span sink. [`EngineCtx::scope`] installs both
+//! thread-locally for the duration of a closure, and
+//! [`par_map`](crate::par_map) re-installs them inside each worker, so
+//! `checkpoint()` and `span()` deep inside the parallel loops see the
+//! run that called them. Nothing here is process-global: any number of
+//! contexts can be live at once on different threads, which is what
+//! lets a serving daemon give each request its own deadline and
+//! progress stream. The full run context (store, kernel, memory budget)
+//! is `topogen_core::RunCtx`, whose `engine()` yields this slice.
 
 use crate::cancel::{self, Deadline};
 use crate::trace::{self, TraceSink};
@@ -29,40 +25,11 @@ pub struct EngineCtx {
     /// [`cancel::checkpoint`] inside the scope.
     pub deadline: Option<Deadline>,
     /// Span sink receiving every [`trace::span`] opened inside the
-    /// scope. `None` means tracing is *off* for the scope, even when a
-    /// process-global sink is installed — a context is authoritative.
+    /// scope. `None` means tracing is off for the scope.
     pub trace: Option<Arc<TraceSink>>,
 }
 
 impl EngineCtx {
-    /// A context with no deadline and no tracing.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshot the compatibility shims — the calling thread's ambient
-    /// deadline and the process-global trace sink — into an explicit
-    /// context. This is how the legacy entry points keep their exact
-    /// behavior while routing through the context-threaded engine core.
-    pub fn ambient() -> Self {
-        EngineCtx {
-            deadline: cancel::current_deadline(),
-            trace: trace::active(),
-        }
-    }
-
-    /// Replace the deadline.
-    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Replace the trace sink.
-    pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
-    }
-
     /// Run `f` with this context installed thread-locally: `checkpoint`
     /// observes `deadline`, `span` lands in `trace`, and `par_map`
     /// carries both into its workers. Nested scopes shadow and restore
@@ -87,7 +54,10 @@ mod tests {
         let sink = Arc::new(TraceSink::new());
         let d = Deadline::cancel_only();
         let token = d.token();
-        let ctx = EngineCtx::new().with_deadline(d).with_trace(sink.clone());
+        let ctx = EngineCtx {
+            deadline: Some(d),
+            trace: Some(sink.clone()),
+        };
         ctx.scope(|| {
             drop(trace::span("inside"));
             cancel::checkpoint(); // not yet cancelled: no unwind
@@ -110,7 +80,11 @@ mod tests {
         let (a, b) = (mk(), mk());
         std::thread::scope(|s| {
             let ta = s.spawn(|| {
-                EngineCtx::new().with_trace(a.clone()).scope(|| {
+                EngineCtx {
+                    deadline: None,
+                    trace: Some(a.clone()),
+                }
+                .scope(|| {
                     let items: Vec<u64> = (0..64).collect();
                     crate::par_map_threads(&items, Some(4), |&x| {
                         drop(trace::span("work-a"));
@@ -119,7 +93,11 @@ mod tests {
                 })
             });
             let tb = s.spawn(|| {
-                EngineCtx::new().with_trace(b.clone()).scope(|| {
+                EngineCtx {
+                    deadline: None,
+                    trace: Some(b.clone()),
+                }
+                .scope(|| {
                     let items: Vec<u64> = (0..64).collect();
                     crate::par_map_threads(&items, Some(4), |&x| {
                         drop(trace::span("work-b"));
@@ -146,36 +124,5 @@ mod tests {
             128,
             "64 enters + 64 exits, none leaked to the other context"
         );
-    }
-
-    #[test]
-    fn empty_context_disables_ambient_tracing() {
-        let _gate = trace::exclusive_for_tests();
-        let global = Arc::new(TraceSink::new());
-        trace::install(Some(global.clone()));
-        EngineCtx::new().scope(|| drop(trace::span("muted")));
-        drop(trace::span("loud"));
-        trace::install(None);
-        let names: Vec<&str> = global
-            .snapshot()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Enter { name, .. } => Some(*name),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(names, vec!["loud"], "scoped span must not hit the global");
-    }
-
-    #[test]
-    fn ambient_snapshot_round_trips() {
-        let _gate = trace::exclusive_for_tests();
-        let global = Arc::new(TraceSink::new());
-        trace::install(Some(global.clone()));
-        let ctx = EngineCtx::ambient();
-        trace::install(None);
-        assert!(ctx.trace.is_some(), "snapshot captured the global sink");
-        ctx.scope(|| drop(trace::span("via-snapshot")));
-        assert_eq!(global.snapshot().len(), 2);
     }
 }

@@ -5,7 +5,7 @@
 //! sites) or [`inject_io`] (I/O sites) and, when an armed entry
 //! matches, the fault fires there. Sites currently wired:
 //!
-//! * `build`  — topology construction (`topogen_core::zoo::build`),
+//! * `build`  — topology construction (`topogen_core::zoo::build_in`),
 //!   labelled with the topology name;
 //! * `metric` — the shared-ball metrics engine, at phase start;
 //! * `hier`   — the hierarchy link-value traversal, at phase start;

@@ -8,11 +8,13 @@
 //! Reproduces the flavor of the paper's Figure 1 (the topology table)
 //! and Appendix A (which generators have heavy-tailed degrees).
 
-use topogen::core::zoo::{build, Scale, TopologySpec};
+use topogen::core::zoo::{build_in, Scale, TopologySpec};
+use topogen::core::RunCtx;
 use topogen::generators::degseq::{fit_power_law_exponent, max_to_mean_degree_ratio};
 use topogen::graph::bfs::eccentricity;
 
 fn main() {
+    let run = RunCtx::new();
     let mut specs = TopologySpec::figure1_zoo(Scale::Small);
     specs.extend(TopologySpec::degree_based_zoo(Scale::Small));
     specs.push(TopologySpec::NLevel(
@@ -24,7 +26,7 @@ fn main() {
     );
     println!("{}", "-".repeat(64));
     for spec in specs {
-        let t = build(&spec, Scale::Small, 7);
+        let t = build_in(&run, &spec, Scale::Small, 7);
         let g = &t.graph;
         let alpha = fit_power_law_exponent(&g.degrees(), 2)
             .map(|a| format!("{a:.2}"))
@@ -42,8 +44,9 @@ fn main() {
     }
     println!();
     // A taste of structure: diameters of two contrasting networks.
-    let mesh = build(&TopologySpec::Mesh { side: 30 }, Scale::Small, 7);
-    let plrg = build(
+    let mesh = build_in(&run, &TopologySpec::Mesh { side: 30 }, Scale::Small, 7);
+    let plrg = build_in(
+        &run,
         &TopologySpec::Plrg(topogen::generators::plrg::PlrgParams {
             n: 1300,
             alpha: 2.246,

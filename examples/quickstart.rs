@@ -8,11 +8,13 @@
 //! the three basic metrics on each, and prints the Low/High signature
 //! table of §3.2.1/§4.4.
 
-use topogen::core::suite::{run_suite, SuiteParams};
-use topogen::core::zoo::{build, Scale, TopologySpec};
+use topogen::core::suite::{run_suite_in, SuiteParams};
+use topogen::core::zoo::{build_in, Scale, TopologySpec};
+use topogen::core::RunCtx;
 use topogen::generators::plrg::PlrgParams;
 
 fn main() {
+    let run = RunCtx::new();
     let specs = vec![
         TopologySpec::Tree { k: 3, depth: 6 },
         TopologySpec::Mesh { side: 30 },
@@ -29,8 +31,8 @@ fn main() {
     );
     println!("{}", "-".repeat(40));
     for spec in specs {
-        let topo = build(&spec, Scale::Small, 42);
-        let result = run_suite(&topo, &SuiteParams::quick());
+        let topo = build_in(&run, &spec, Scale::Small, 42);
+        let result = run_suite_in(&run, &topo, &SuiteParams::quick());
         println!(
             "{:10} {:>7} {:>9.2} {:>10}",
             topo.name,

@@ -38,14 +38,18 @@
 //! ## Quickstart
 //!
 //! ```
-//! use topogen::core::zoo::{build, Scale, TopologySpec};
-//! use topogen::core::suite::{run_suite, SuiteParams};
+//! use topogen::core::zoo::{build_in, Scale, TopologySpec};
+//! use topogen::core::suite::{run_suite_in, SuiteParams};
+//! use topogen::core::RunCtx;
 //! use topogen::generators::plrg::PlrgParams;
 //!
-//! // Build the paper's PLRG instance (CI-sized) and classify it.
+//! // Build the paper's PLRG instance (CI-sized) and classify it. The
+//! // run context carries the optional store, deadline, trace sink,
+//! // kernel policy and memory budget; `RunCtx::new()` uses none.
+//! let run = RunCtx::new();
 //! let spec = TopologySpec::Plrg(PlrgParams { n: 1300, alpha: 2.246, max_degree: None });
-//! let topo = build(&spec, Scale::Small, 42);
-//! let result = run_suite(&topo, &SuiteParams::quick());
+//! let topo = build_in(&run, &spec, Scale::Small, 42);
+//! let result = run_suite_in(&run, &topo, &SuiteParams::quick());
 //! // The paper's headline: PLRG shares the Internet's HHL signature.
 //! assert_eq!(result.signature.to_string(), "HHL");
 //! ```
