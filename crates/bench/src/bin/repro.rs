@@ -99,8 +99,9 @@
 //!                        run the registered invariant suites
 //!                        (crates/check): differential oracles for the
 //!                        kernels, threading, codec, degree sequences,
-//!                        store/ledger, trace spans, and hierarchy
-//!                        baseline. --json archives the structured
+//!                        store/ledger, trace spans, hierarchy
+//!                        baseline, and the distortion center's
+//!                        betweenness. --json archives the structured
 //!                        report as out/check-report.json. On a
 //!                        violation, prints a one-line
 //!                        TOPOGEN_CHECK=suite:invariant:seed repro;

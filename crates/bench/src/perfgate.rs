@@ -33,7 +33,7 @@ use crate::ExitCode;
 
 /// TimingReport counters the gate compares (deterministic operation
 /// counts; cache-traffic fields intentionally excluded).
-pub const GATED_COUNTERS: [&str; 10] = [
+pub const GATED_COUNTERS: [&str; 11] = [
     "bfs_runs",
     "balls_built",
     "partitioner_restarts",
@@ -44,6 +44,7 @@ pub const GATED_COUNTERS: [&str; 10] = [
     "spill_runs",
     "words_scanned",
     "frontier_passes",
+    "brandes_edge_visits",
 ];
 
 /// Default allowed regression before the gate fails (5%).

@@ -18,6 +18,7 @@
 //! | `store`     | ledger ↔ entries consistent; gc keeps LRU frontier   | re-derived frontier from pre-gc state |
 //! | `trace`     | span streams form per-thread LIFO trees              | independent stream verifier |
 //! | `hierarchy` | arena link-value engine ≡ kept textbook baseline     | `baseline::link_values_ref` |
+//! | `distortion`| Brandes betweenness ≡ path counting; center memo exact | naive O(n³) path counting; a fresh run |
 //!
 //! Every failure is replayable: the runner prints (and records in
 //! `check-report.json`) a one-line `TOPOGEN_CHECK=suite:invariant:seed`
@@ -46,6 +47,7 @@ pub fn registry() -> Vec<Suite> {
         suites::store::suite(),
         suites::trace::suite(),
         suites::hierarchy::suite(),
+        suites::distortion::suite(),
         suites::scale::suite(),
     ]
 }

@@ -195,6 +195,9 @@ pub struct TimingReport {
     /// Sorted runs spilled to disk by memory-budgeted streaming builds
     /// (zero without `--mem-budget`).
     pub spill_runs: u64,
+    /// Adjacency entries scanned by the distortion centers' Brandes
+    /// runs (memoised centers scan none; zero without distortion).
+    pub brandes_edge_visits: u64,
     /// Artifact-store lookups served from disk (`repro --cache`).
     pub store_hits: u64,
     /// Artifact-store lookups that fell through to computation.
@@ -251,6 +254,12 @@ impl Serialize for TimingReport {
         if self.spill_runs > 0 {
             fields.push(("spill_runs".to_string(), self.spill_runs.to_content()));
         }
+        if self.brandes_edge_visits > 0 {
+            fields.push((
+                "brandes_edge_visits".to_string(),
+                self.brandes_edge_visits.to_content(),
+            ));
+        }
         fields.extend([
             ("store_hits".to_string(), self.store_hits.to_content()),
             ("store_misses".to_string(), self.store_misses.to_content()),
@@ -300,6 +309,10 @@ impl Deserialize for TimingReport {
                 Some(v) => u64::from_content(v)?,
                 None => 0,
             },
+            brandes_edge_visits: match c.get("brandes_edge_visits") {
+                Some(v) => u64::from_content(v)?,
+                None => 0,
+            },
             store_hits: u64::from_content(field("store_hits")?)?,
             store_misses: u64::from_content(field("store_misses")?)?,
             store_bytes_read: u64::from_content(field("store_bytes_read")?)?,
@@ -327,6 +340,7 @@ impl From<&topogen_par::InstrumentReport> for TimingReport {
             frontier_passes: r.frontier_passes,
             scratch_bytes: r.scratch_bytes,
             spill_runs: r.spill_runs,
+            brandes_edge_visits: r.brandes_edge_visits,
             store_hits: r.store_hits,
             store_misses: r.store_misses,
             store_bytes_read: r.store_bytes_read,
@@ -379,6 +393,7 @@ impl TimingReport {
         self.frontier_passes += other.frontier_passes;
         self.scratch_bytes = self.scratch_bytes.max(other.scratch_bytes);
         self.spill_runs += other.spill_runs;
+        self.brandes_edge_visits += other.brandes_edge_visits;
         self.store_hits += other.store_hits;
         self.store_misses += other.store_misses;
         self.store_bytes_read += other.store_bytes_read;
@@ -423,6 +438,12 @@ impl TimingReport {
             out.push_str(&format!(
                 "memory scratch-peak {}B  spill-runs {}\n",
                 self.scratch_bytes, self.spill_runs
+            ));
+        }
+        if self.brandes_edge_visits > 0 {
+            out.push_str(&format!(
+                "brandes edge-visits {}\n",
+                self.brandes_edge_visits
             ));
         }
         if self.store_hits + self.store_misses > 0 {
@@ -756,6 +777,24 @@ mod tests {
         assert_eq!(merged.scratch_bytes, 4096);
         assert_eq!(merged.spill_runs, 5);
         assert!(b.render().contains("memory scratch-peak 4096B"));
+    }
+
+    #[test]
+    fn timing_report_carries_brandes_visits_when_nonzero() {
+        let r = TimingReport::default();
+        let j = serde_json::to_string(&r).unwrap();
+        assert!(!j.contains("brandes_edge_visits"));
+        let b = TimingReport {
+            brandes_edge_visits: 120,
+            ..Default::default()
+        };
+        let j = serde_json::to_string(&b).unwrap();
+        let back: TimingReport = serde_json::from_str(&j).unwrap();
+        assert_eq!(back.brandes_edge_visits, 120);
+        let mut merged = b.clone();
+        merged.merge(&b);
+        assert_eq!(merged.brandes_edge_visits, 240);
+        assert!(b.render().contains("brandes edge-visits 120"));
     }
 
     #[test]

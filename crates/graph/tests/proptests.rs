@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use topogen_check::gen::{arb_connected, arb_graph};
-use topogen_graph::apsp::all_pairs_distances;
+use topogen_graph::apsp::{all_pairs_distances, betweenness};
 use topogen_graph::bfs::{distances, distances_bounded, shortest_path_dag, DistScratch};
 use topogen_graph::bfs_bitset::{self, BfsStats, BitsetScratch};
 use topogen_graph::bicon::biconnected_components;
@@ -13,10 +13,44 @@ use topogen_graph::io::{parse_edge_list, to_edge_list};
 use topogen_graph::prune::core;
 use topogen_graph::subgraph::ball;
 use topogen_graph::tree::{Lca, RootedTree};
-use topogen_graph::{NodeId, UNREACHED};
+use topogen_graph::{Graph, NodeId, UNREACHED};
+
+/// Brandes' algorithm over one fresh [`shortest_path_dag`] per source:
+/// the implementation `apsp::betweenness` replaced, kept as the
+/// reference its arena kernel must match bit for bit.
+#[allow(clippy::needless_range_loop)] // index loops mirror Brandes' pseudocode
+fn betweenness_ref(g: &Graph) -> Vec<f64> {
+    let n = g.node_count();
+    let mut bc = vec![0.0f64; n];
+    let mut delta = vec![0.0f64; n];
+    for s in 0..n as NodeId {
+        let dag = shortest_path_dag(g, s);
+        for d in delta.iter_mut() {
+            *d = 0.0;
+        }
+        // Accumulate in reverse BFS order.
+        for &w in dag.order.iter().rev() {
+            for &v in &dag.preds[w as usize] {
+                let share =
+                    dag.sigma[v as usize] / dag.sigma[w as usize] * (1.0 + delta[w as usize]);
+                delta[v as usize] += share;
+            }
+            if w != s {
+                bc[w as usize] += delta[w as usize];
+            }
+        }
+    }
+    bc
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn betweenness_bit_identical_to_dag_reference(g in arb_graph()) {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(bits(betweenness(&g)), bits(betweenness_ref(&g)));
+    }
 
     #[test]
     fn handshake_lemma(g in arb_graph()) {

@@ -14,14 +14,19 @@ use crate::CurvePoint;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use topogen_graph::apsp::betweenness_center;
+use topogen_graph::apsp::betweenness_center_counted;
 use topogen_graph::tree::{distortion_of_tree, RootedTree};
 use topogen_graph::{Graph, NodeId};
+use topogen_par::trace::span;
 
 /// Tunables for the distortion computation.
 #[derive(Clone, Copy, Debug)]
 pub struct DistortionParams {
-    /// Skip balls larger than this (betweenness is O(n·m) per ball).
+    /// Skip balls larger than this. The center's Brandes run is O(n·m)
+    /// per ball and dominates the metric's cost; it allocates once per
+    /// ball (not per source), and a ball identical to the worker's
+    /// previous one (a radius past component saturation) reuses that
+    /// ball's center instead of rerunning it.
     pub max_ball_nodes: usize,
     /// Also run the Bartal-style decomposition cross-check.
     pub use_bartal: bool,
@@ -49,11 +54,24 @@ impl Default for DistortionParams {
 /// trees, each polished by re-parenting local search. Returns `None`
 /// for graphs without edges.
 pub fn graph_distortion(g: &Graph, params: &DistortionParams) -> Option<f64> {
+    graph_distortion_counted(g, params).0
+}
+
+/// [`graph_distortion`] plus the adjacency entries the center's Brandes
+/// run scanned (zero when the center was memoised, see
+/// [`betweenness_center_counted`]).
+///
+/// Each step runs in its own trace span, nested under the caller's:
+/// `dist-center` (betweenness center), `dist-bfs-tree` (the two BFS
+/// trees), `dist-bartal` (the two decomposition trees) and `dist-eval`
+/// (scoring or polishing each candidate tree).
+pub fn graph_distortion_counted(g: &Graph, params: &DistortionParams) -> (Option<f64>, u64) {
     if g.edge_count() == 0 {
-        return None;
+        return (None, 0);
     }
     let mut best = f64::INFINITY;
     let consider = |t: RootedTree, best: &mut f64| {
+        let _eval = span("dist-eval");
         let d = if params.polish {
             improve_tree_distortion(g, t, 8).1
         } else {
@@ -64,26 +82,31 @@ pub fn graph_distortion(g: &Graph, params: &DistortionParams) -> Option<f64> {
         }
     };
     // Root 1: the betweenness center (the paper's footnote-14 heuristic).
-    if let Some(center) = betweenness_center(g) {
-        consider(RootedTree::bfs_tree(g, center), &mut best);
-    }
     // Root 2: the maximum-degree node.
+    let (center, visits) = {
+        let _center = span("dist-center");
+        betweenness_center_counted(g)
+    };
     let hub = (0..g.node_count() as NodeId).max_by_key(|&v| g.degree(v));
-    if let Some(hub) = hub {
-        consider(RootedTree::bfs_tree(g, hub), &mut best);
+    for root in center.into_iter().chain(hub) {
+        let tree = {
+            let _tree = span("dist-bfs-tree");
+            RootedTree::bfs_tree(g, root)
+        };
+        consider(tree, &mut best);
     }
     // Cross-check: Bartal-style random decomposition tree.
     if params.use_bartal {
         let mut rng = StdRng::seed_from_u64(params.seed);
         for _ in 0..2 {
-            consider(bartal_tree(g, &mut rng), &mut best);
+            let tree = {
+                let _bartal = span("dist-bartal");
+                bartal_tree(g, &mut rng)
+            };
+            consider(tree, &mut best);
         }
     }
-    if best.is_finite() {
-        Some(best)
-    } else {
-        None
-    }
+    (best.is_finite().then_some(best), visits)
 }
 
 /// Local search over spanning trees: repeatedly take the non-tree edges

@@ -142,7 +142,9 @@ impl BallMetric for DistortionMetric {
             polish: self.polish,
             seed: ctx.seed,
         };
-        crate::distortion::graph_distortion(ball, &params)
+        let (d, visits) = crate::distortion::graph_distortion_counted(ball, &params);
+        ctx.instrument.add_brandes_edge_visits(visits);
+        d
     }
 }
 

@@ -48,6 +48,9 @@ pub struct Instrument {
     scratch_bytes: AtomicU64,
     /// Sorted runs spilled to disk by memory-budgeted streaming builds.
     spill_runs: AtomicU64,
+    /// Adjacency entries scanned by Brandes betweenness runs (distortion
+    /// centers; memoised centers scan none).
+    brandes_edge_visits: AtomicU64,
     /// Artifact-store lookups served from disk (`repro --cache`).
     store_hits: AtomicU64,
     /// Artifact-store lookups that fell through to computation.
@@ -122,6 +125,11 @@ impl Instrument {
         self.spill_runs.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Record `n` adjacency entries scanned by a Brandes run.
+    pub fn add_brandes_edge_visits(&self, n: u64) {
+        self.brandes_edge_visits.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Record artifact-store traffic: `hits`/`misses` lookups plus the
     /// bytes read from and written to the store.
     pub fn add_store_traffic(&self, hits: u64, misses: u64, bytes_read: u64, bytes_written: u64) {
@@ -169,6 +177,7 @@ impl Instrument {
             frontier_passes: self.frontier_passes.load(Ordering::Relaxed),
             scratch_bytes: self.scratch_bytes.load(Ordering::Relaxed),
             spill_runs: self.spill_runs.load(Ordering::Relaxed),
+            brandes_edge_visits: self.brandes_edge_visits.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_misses: self.store_misses.load(Ordering::Relaxed),
             store_bytes_read: self.store_bytes_read.load(Ordering::Relaxed),
@@ -252,6 +261,8 @@ pub struct InstrumentReport {
     pub scratch_bytes: u64,
     /// Sorted runs spilled by memory-budgeted streaming builds.
     pub spill_runs: u64,
+    /// Adjacency entries scanned by Brandes betweenness runs.
+    pub brandes_edge_visits: u64,
     /// Artifact-store lookups served from disk.
     pub store_hits: u64,
     /// Artifact-store lookups that fell through to computation.
@@ -279,6 +290,7 @@ impl InstrumentReport {
         self.frontier_passes += other.frontier_passes;
         self.scratch_bytes = self.scratch_bytes.max(other.scratch_bytes);
         self.spill_runs += other.spill_runs;
+        self.brandes_edge_visits += other.brandes_edge_visits;
         self.store_hits += other.store_hits;
         self.store_misses += other.store_misses;
         self.store_bytes_read += other.store_bytes_read;
@@ -310,6 +322,8 @@ mod tests {
         ins.add_arena_bytes(1024);
         ins.add_words_scanned(77);
         ins.add_frontier_passes(6);
+        ins.add_brandes_edge_visits(40);
+        ins.add_brandes_edge_visits(2);
         ins.add_store_traffic(2, 3, 100, 200);
         ins.add_store_traffic(1, 0, 50, 0);
         let r = ins.report();
@@ -322,6 +336,7 @@ mod tests {
         assert_eq!(r.arena_bytes, 1024);
         assert_eq!(r.words_scanned, 77);
         assert_eq!(r.frontier_passes, 6);
+        assert_eq!(r.brandes_edge_visits, 42);
         assert_eq!(r.store_hits, 3);
         assert_eq!(r.store_misses, 3);
         assert_eq!(r.store_bytes_read, 150);
@@ -364,6 +379,7 @@ mod tests {
         b.add_arena_bytes(64);
         b.add_words_scanned(8);
         b.add_frontier_passes(2);
+        b.add_brandes_edge_visits(9);
         b.add_store_traffic(1, 2, 3, 4);
         b.add_phase("x", Duration::from_secs(2));
         b.add_phase("y", Duration::from_secs(3));
@@ -374,6 +390,7 @@ mod tests {
         assert_eq!(ra.arena_bytes, 64);
         assert_eq!(ra.words_scanned, 8);
         assert_eq!(ra.frontier_passes, 2);
+        assert_eq!(ra.brandes_edge_visits, 9);
         assert_eq!(ra.store_hits, 1);
         assert_eq!(ra.store_misses, 2);
         assert_eq!(ra.store_bytes_read, 3);

@@ -289,7 +289,20 @@ pub fn read_sections(bytes: &[u8]) -> Result<Sections<'_>, CodecError> {
     let body = &bytes[..bytes.len() - 8];
     let mut r = Reader::new(body);
     let _ = r.take(12)?; // magic + version + endian tag
+    let at = r.offset;
     let n = r.u32()?;
+    // Each section costs at least its 12-byte tag + length header, so
+    // the count is bounded by the bytes left before anything is
+    // allocated for it.
+    if n as usize > r.remaining() / 12 {
+        return Err(CodecError::Malformed {
+            offset: at,
+            what: format!(
+                "section count {n} exceeds remaining {} bytes",
+                r.remaining()
+            ),
+        });
+    }
     let mut out = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let at = r.offset;
@@ -327,6 +340,13 @@ fn tag_str(tag: &[u8; 4]) -> String {
 // Graph payload
 // ---------------------------------------------------------------------------
 
+/// Largest node count a graph payload may declare: 16× the million-node
+/// tier, the largest graph this project builds. Isolated nodes cost no
+/// payload bytes, so the edge list cannot bound the node count; without
+/// this limit a corrupt count up to `u32::MAX` would make the decoder
+/// allocate tens of gigabytes of CSR offsets before failing.
+const MAX_NODES: u64 = 1 << 24;
+
 /// Serialize a graph as a section payload: node count, edge count, then
 /// the normalized edge list (already sorted and deduped in [`Graph`]).
 pub fn graph_payload(g: &Graph) -> Vec<u8> {
@@ -348,10 +368,10 @@ pub fn graph_from_payload(bytes: &[u8]) -> Result<Graph, CodecError> {
     let mut r = Reader::new(bytes);
     let at = r.offset;
     let n = r.u64()?;
-    if n > NodeId::MAX as u64 {
+    if n > MAX_NODES {
         return Err(CodecError::Malformed {
             offset: at,
-            what: format!("node count {n} exceeds u32 id space"),
+            what: format!("node count {n} exceeds the {MAX_NODES}-node limit"),
         });
     }
     let n = n as usize;
@@ -539,6 +559,45 @@ mod tests {
         put_u64(&mut payload, u64::MAX);
         let err = graph_from_payload(&payload).unwrap_err();
         assert!(matches!(err, CodecError::Malformed { .. }), "{err}");
+    }
+
+    #[test]
+    fn implausible_node_count_is_rejected_before_allocating() {
+        // An edgeless payload claiming u32::MAX nodes would otherwise
+        // allocate ~100 GB of CSR offsets inside `Graph::from_edges`.
+        for n in [u64::from(u32::MAX), MAX_NODES + 1] {
+            let mut payload = Vec::new();
+            put_u64(&mut payload, n);
+            put_u64(&mut payload, 0);
+            let err = graph_from_payload(&payload).unwrap_err();
+            assert!(
+                matches!(&err, CodecError::Malformed { offset: 0, what } if what.contains("node count")),
+                "{err}"
+            );
+        }
+        // The limit itself, and isolated nodes in general, still decode.
+        let g = Graph::empty(1000);
+        assert_eq!(graph_from_payload(&graph_payload(&g)).unwrap(), g);
+    }
+
+    #[test]
+    fn implausible_section_count_is_rejected_before_allocating() {
+        // A valid header and checksum around a body whose section count
+        // claims u32::MAX sections in four bytes.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&CODEC_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&ENDIAN_TAG.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.write(&bytes);
+        let sum = h.finish();
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        let err = read_sections(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Malformed { what, .. } if what.contains("section count")),
+            "{err}"
+        );
     }
 
     #[test]

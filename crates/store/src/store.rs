@@ -678,6 +678,9 @@ mod tests {
 
     #[test]
     fn ls_shows_keys_from_ledger() {
+        // Hold the fault lock so the injection tests' armed `store-*`
+        // faults cannot drop this put.
+        let _x = topogen_par::faults::exclusive_for_tests();
         let store = Store::open(tmpdir("ls")).unwrap();
         store.put("kind=test|x=1", &sample_container(0));
         let ls = store.ls();
@@ -724,7 +727,9 @@ mod tests {
         // it to the "never seen / oldest" tier, and (worse) its ledger
         // compaction dropped the line appended mid-walk. With publish
         // and record under the ledger lock, every completed put survives
-        // a generous-budget gc with its recency intact.
+        // a generous-budget gc with its recency intact. The fault lock
+        // keeps the injection tests' armed `store-*` faults out.
+        let _x = topogen_par::faults::exclusive_for_tests();
         let store = std::sync::Arc::new(Store::open(tmpdir("putgc")).unwrap());
         const KEYS: usize = 40;
         let writer = {
