@@ -89,8 +89,21 @@
 //!   ablation-ts          footnote 17: TS redundancy trade-off
 //!   ablation-extremes    §4.4: extreme parameter regimes
 //!   ablation-distortion  spanning-tree local-search quality
+//!   gen TOPOLOGY         build a topology and print its `u v` edge list
+//!                        on stdout. TOPOLOGY is a zoo name at --scale
+//!                        (`PLRG`, `Mesh`, …) or an inline map, e.g.
+//!                        '{"kind":"plrg","n":2000,"alpha":2.25}' (the
+//!                        daemon's topology grammar); --seed, --cache,
+//!                        --trace and --mem-budget apply as everywhere
 //!   load-measured PATH   load a measured graph (text edge list or
 //!                        binary .tgr, sniffed by magic), print its stats
+//!                        (sizes, average degree, power-law α fit,
+//!                        clustering)
+//!   classify PATH...     signature, hierarchy class, max/median link
+//!                        value and degree correlation of each file's
+//!                        giant component; with two or more files,
+//!                        MATCH when all share signature and class,
+//!                        DIFFER otherwise
 //!   store ls             list the artifact store's entries
 //!   store verify         checksum-walk every entry, report corruption
 //!   store gc --max-bytes N  evict least-recently-used entries over N
@@ -126,8 +139,9 @@
 //!                        deadlock, no worker loss, no corruption
 //!   measure FILE|-       answer one measure request on stdout (the
 //!                        daemon's byte-identical batch twin)
-//!   all                  everything above (except load-measured/store/
-//!                        trace/serve/measure)
+//!   all                  every experiment above (not gen, load-measured,
+//!                        classify, store, trace, check, perf-gate, serve
+//!                        or measure)
 //! ```
 
 use std::io::Write as _;
@@ -136,8 +150,10 @@ use topogen_bench::experiments as exp;
 use topogen_bench::runner::{self, RunnerOptions, Unit, UnitError};
 use topogen_bench::serve;
 use topogen_bench::{tracefmt, ExitCode, ExpCtx};
+use topogen_core::hier::{hierarchy_report_timed_in, HierOptions};
 use topogen_core::report::{render_figure, FigureData, TableData, TimingReport};
-use topogen_core::zoo::Scale;
+use topogen_core::suite::run_suite_in;
+use topogen_core::zoo::{build_in, BuiltTopology, Scale, TopologySpec};
 use topogen_core::RunCtx;
 use topogen_graph::bfs_bitset::KernelPolicy;
 use topogen_metrics::tolerance::Removal;
@@ -232,12 +248,14 @@ impl Output {
     }
 
     /// Print (and archive as `BENCH_<id>.json`) an experiment's merged
-    /// engine instrumentation when `--timings` was given.
+    /// engine instrumentation when `--timings` was given, with the
+    /// unit's streamed-build spill runs (the runner's per-attempt tally).
     fn timing_report(&self, id: &str, r: &TimingReport, run: &RunCtx) {
         if !self.timings {
             return;
         }
         let mut r = r.clone();
+        r.spill_runs = topogen_par::spill_runs();
         if let Some(sink) = &run.trace {
             if let Some(mark) = &*self.trace_mark.lock().unwrap_or_else(|p| p.into_inner()) {
                 r.add_span_rollups(&sink.rollup_since(mark));
@@ -283,6 +301,9 @@ fn usage() -> ! {
          [--keep-going] [--resume] [--deadline SECS] [--retries N] [--strict-checks] \
          [--cache[=DIR]] [--trace[=DIR]]"
     );
+    eprintln!("       repro gen TOPOLOGY [--scale S] [--seed N] > FILE");
+    eprintln!("       repro load-measured PATH");
+    eprintln!("       repro classify PATH...");
     eprintln!("       repro store <ls|verify|gc> [--cache[=DIR]] [--max-bytes N]");
     eprintln!("       repro trace export [PATH] [--trace[=DIR]]");
     eprintln!("       repro check [--suite NAME] [--cases N] [--seed S] [--json]");
@@ -433,11 +454,26 @@ fn main() {
         Some(c) => c.clone(),
         None => usage(),
     };
-    let arg = positional.get(1).cloned();
-    if positional.len() > 2 && cmd != "trace" {
-        eprintln!("unexpected argument {:?}", positional[2]);
+    let args = positional.split_off(1);
+    let (min_args, max_args) = match cmd.as_str() {
+        "gen" | "load-measured" => (1, 1),
+        "classify" => (1, usize::MAX),
+        "store" => (0, 1),
+        "trace" => (0, 2),
+        _ => (0, 0),
+    };
+    if let Some(extra) = args.get(max_args) {
+        eprintln!("unexpected argument {extra:?}");
         usage();
     }
+    if args.len() < min_args {
+        eprintln!(
+            "{cmd} needs a {} argument",
+            if cmd == "gen" { "TOPOLOGY" } else { "PATH" }
+        );
+        usage();
+    }
+    let arg = args.first().cloned();
 
     if cmd == "store" {
         run_store_cmd(
@@ -448,13 +484,9 @@ fn main() {
         .exit();
     }
     if cmd == "trace" {
-        if positional.len() > 3 {
-            eprintln!("unexpected argument {:?}", positional[3]);
-            usage();
-        }
         run_trace_cmd(
             arg.as_deref(),
-            positional.get(2).map(|s| s.as_str()),
+            args.get(1).map(|s| s.as_str()),
             trace_dir.as_deref().unwrap_or("out/trace"),
         )
         .exit();
@@ -504,20 +536,17 @@ fn main() {
         println!("fig12 fig13 fig14 fig15 tab-signature tab-hierarchy");
         println!("bgp-vs-policy robustness-snapshots robustness-incompleteness");
         println!("ablation-ts ablation-extremes ablation-distortion");
-        println!("load-measured store trace check perf-gate all");
+        println!("gen load-measured classify store trace check perf-gate all");
         return;
     }
-    if cmd == "load-measured" && arg.is_none() {
-        eprintln!("load-measured needs a PATH argument");
-        usage();
-    }
-    if let Some(extra) = arg.as_deref().filter(|_| cmd != "load-measured") {
-        eprintln!("unexpected argument {extra:?}");
-        usage();
+    if cmd == "gen" {
+        if let Err(e) = parse_topology_arg(&args[0], ctx.scale) {
+            eprintln!("{e}");
+            usage();
+        }
     }
     let known = cmd == "all"
-        || cmd == "load-measured"
-        || cmd == "fig4"
+        || ["gen", "load-measured", "classify", "fig4"].contains(&cmd.as_str())
         || ALL_UNITS.contains(&cmd.as_str());
     if !known {
         eprintln!("unknown experiment {cmd:?}; run `repro list`");
@@ -537,12 +566,12 @@ fn main() {
     let unit_for = |id: &str| -> Unit {
         let id_owned = id.to_string();
         let out = out.clone();
-        let arg = arg.clone();
+        let args = args.clone();
         let base = ctx;
         Unit::new(id, move |attempt, run| {
             let mut c = base;
             c.seed = runner::reseed(base.seed, attempt);
-            run_cmd(&id_owned, arg.as_deref(), &c, run, &out)
+            run_cmd(&id_owned, &args, &c, run, &out)
         })
     };
 
@@ -1042,9 +1071,72 @@ fn run_measure_cmd(args: &[String]) -> ExitCode {
     ExitCode::Clean
 }
 
+/// A `repro gen` TOPOLOGY argument: an inline JSON map when it starts
+/// with `{`, a zoo name otherwise — the daemon's topology grammar.
+fn parse_topology_arg(arg: &str, scale: Scale) -> Result<TopologySpec, String> {
+    let c = if arg.trim_start().starts_with('{') {
+        serde_json::from_str(arg).map_err(|e| format!("bad inline topology {arg:?}: {e}"))?
+    } else {
+        serde::Content::Str(arg.to_string())
+    };
+    serve::wire::parse_topology(&c, scale).map_err(|e| e.to_string())
+}
+
+/// `repro classify`: the paper's two questions for each file — the L/H
+/// signature and the strict/moderate/loose hierarchy class, with the
+/// link-value statistics behind it — plus the merged engine timings.
+/// The verdict is `Some(all rows agree)` with two or more files.
+fn classify_files(
+    paths: &[String],
+    ctx: &ExpCtx,
+    run: &RunCtx,
+) -> Result<(TableData, TimingReport, Option<bool>), UnitError> {
+    let params = ctx.suite_params();
+    let mut timings = TimingReport::default();
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    for path in paths {
+        let m =
+            topogen_measured::load_measured(path).map_err(|e| UnitError::Load(e.to_string()))?;
+        let t = BuiltTopology::plain(path.as_str(), m.graph);
+        let r = run_suite_in(run, &t, &params);
+        timings.merge(&r.timings);
+        let (h, ht) = hierarchy_report_timed_in(run, &t, &HierOptions::default());
+        timings.merge(&ht);
+        rows.push(vec![
+            path.clone(),
+            t.graph.node_count().to_string(),
+            r.signature.to_string(),
+            h.class,
+            format!("{:.4}", h.max),
+            format!("{:.4}", h.median),
+            h.degree_correlation
+                .map_or_else(|| "-".into(), |c| format!("{c:.3}")),
+        ]);
+    }
+    let table = TableData::new(
+        "classify",
+        [
+            "Graph",
+            "Nodes",
+            "Signature",
+            "Hierarchy",
+            "Max link value",
+            "Median link value",
+            "Degree corr.",
+        ]
+        .map(String::from)
+        .to_vec(),
+        rows,
+    );
+    // Same signature and hierarchy class (columns 2 and 3) in every row.
+    let rows = &table.rows;
+    let verdict = (rows.len() >= 2).then(|| rows.windows(2).all(|w| w[0][2..4] == w[1][2..4]));
+    Ok((table, timings, verdict))
+}
+
 fn run_cmd(
     cmd: &str,
-    arg: Option<&str>,
+    args: &[String],
     ctx: &ExpCtx,
     run: &RunCtx,
     out: &Output,
@@ -1055,7 +1147,13 @@ fn run_cmd(
     let _ = out.take_degraded(); // drop leftovers from an aborted attempt
     out.mark_trace(run);
     match cmd {
-        "tab1" => out.table(&exp::tab1::run(ctx, run)),
+        "tab1" => {
+            // The topology table only builds: its timing report carries
+            // the builds' counters (spill runs, trace spans).
+            let table = exp::tab1::run(ctx, run);
+            out.table(&table);
+            out.timing_report(&table.id, &TimingReport::default(), run);
+        }
         "fig2" => {
             for panel in ["canonical", "measured", "generated", "degree-based"] {
                 for metric in exp::fig2::Metric::all() {
@@ -1127,34 +1225,51 @@ fn run_cmd(
         "ablation-ts" => out.table(&exp::ablations::run_ts_redundancy(ctx, run)),
         "ablation-extremes" => out.table(&exp::ablations::run_extremes(ctx, run)),
         "ablation-distortion" => out.table(&exp::ablations::run_distortion_polish(ctx, run)),
+        "gen" => {
+            let spec = parse_topology_arg(&args[0], ctx.scale).expect("validated in main");
+            let t = build_in(run, &spec, ctx.scale, ctx.seed);
+            print!("{}", topogen_graph::io::to_edge_list(&t.graph));
+        }
         "load-measured" => {
-            let path = arg.expect("validated in main");
-            let m = topogen_measured::load_measured(path)
+            let m = topogen_measured::load_measured(&args[0])
                 .map_err(|e| UnitError::Load(e.to_string()))?;
+            let row = |quantity: &str, value: String| vec![m.name.clone(), quantity.into(), value];
+            let alpha = topogen_generators::degseq::fit_power_law_exponent(&m.graph.degrees(), 2);
+            let clustering = topogen_metrics::clustering::graph_clustering(&m.graph);
             let table = TableData::new(
                 "load-measured",
                 vec!["Graph".into(), "Quantity".into(), "Value".into()],
                 vec![
-                    vec![m.name.clone(), "raw nodes".into(), m.raw_nodes.to_string()],
-                    vec![m.name.clone(), "raw edges".into(), m.raw_edges.to_string()],
-                    vec![
-                        m.name.clone(),
-                        "giant component nodes".into(),
-                        m.graph.node_count().to_string(),
-                    ],
-                    vec![
-                        m.name.clone(),
-                        "giant component edges".into(),
-                        m.graph.edge_count().to_string(),
-                    ],
-                    vec![
-                        m.name.clone(),
-                        "avg degree".into(),
-                        format!("{:.2}", m.avg_degree()),
-                    ],
+                    row("raw nodes", m.raw_nodes.to_string()),
+                    row("raw edges", m.raw_edges.to_string()),
+                    row("giant component nodes", m.graph.node_count().to_string()),
+                    row("giant component edges", m.graph.edge_count().to_string()),
+                    row("avg degree", format!("{:.2}", m.avg_degree())),
+                    row(
+                        "power-law alpha (MLE, x_min = 2)",
+                        alpha.map_or_else(|| "-".into(), |a| format!("{a:.3}")),
+                    ),
+                    row(
+                        "clustering",
+                        clustering.map_or_else(|| "-".into(), |c| format!("{c:.4}")),
+                    ),
                 ],
             );
             out.table(&table);
+        }
+        "classify" => {
+            let (table, timings, verdict) = classify_files(args, ctx, run)?;
+            out.table(&table);
+            match verdict {
+                Some(true) => {
+                    println!("MATCH: the topologies share the same large-scale structure")
+                }
+                Some(false) => {
+                    println!("DIFFER: the topologies have different large-scale structure")
+                }
+                None => {}
+            }
+            out.timing_report(&table.id, &timings, run);
         }
         other => {
             // Unknown ids are rejected in main; reaching this is a bug.

@@ -2,19 +2,24 @@
 //! whole-graph clustering observation (PLRG tracks the AS graph under
 //! ball-growing, but not on the whole graph).
 
-use crate::experiments::{build_zoo_degraded, zoo_figure_degraded};
+use crate::experiments::{ball_metric_series, build_zoo_degraded, zoo_figure_degraded};
 use crate::ExpCtx;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use topogen_core::report::{FigureData, Series, TableData};
+use topogen_core::report::{FigureData, TableData};
 use topogen_core::RunCtx;
-use topogen_metrics::balls::{sample_centers, PlainBalls};
-use topogen_metrics::clustering::{clustering_curve, graph_clustering};
+use topogen_metrics::balls::sample_centers;
+use topogen_metrics::clustering::graph_clustering;
+use topogen_metrics::engine::ClusteringMetric;
 
 /// The ball-growing clustering curves.
 pub fn run(ctx: &ExpCtx, run: &RunCtx) -> FigureData {
     let centers_n = if ctx.quick { 8 } else { 24 };
     let max_ball = if ctx.quick { 1_500 } else { 5_000 };
+    let max_h = if ctx.quick { 40 } else { 64 };
+    let clustering = ClusteringMetric {
+        max_ball_nodes: max_ball,
+    };
     zoo_figure_degraded(
         ctx,
         run,
@@ -22,13 +27,16 @@ pub fn run(ctx: &ExpCtx, run: &RunCtx) -> FigureData {
         "ball size",
         "clustering coefficient",
         |t| {
-            let src = PlainBalls { graph: &t.graph };
             let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0xC1);
             let centers = sample_centers(t.graph.node_count(), centers_n, &mut rng);
-            let curve = clustering_curve(&src, &centers, if ctx.quick { 40 } else { 64 }, max_ball);
-            let x: Vec<f64> = curve.iter().map(|p| p.avg_size).collect();
-            let y: Vec<f64> = curve.iter().map(|p| p.value).collect();
-            Some(Series::new(&t.name, &x, &y))
+            Some(ball_metric_series(
+                run,
+                t,
+                centers,
+                max_h,
+                max_ball,
+                &clustering,
+            ))
         },
     )
 }

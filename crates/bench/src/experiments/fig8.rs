@@ -1,55 +1,68 @@
 //! Appendix B, Figure 8: (a–c) vertex cover vs ball size and (d–f)
 //! biconnected components vs ball size.
 
-use crate::experiments::zoo_figure_degraded;
+use crate::experiments::{ball_metric_series, zoo_figure_degraded};
 use crate::ExpCtx;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use topogen_core::report::{FigureData, Series};
+use topogen_core::report::FigureData;
 use topogen_core::RunCtx;
-use topogen_metrics::balls::{sample_centers, PlainBalls};
-use topogen_metrics::bicon_metric::bicon_curve;
-use topogen_metrics::cover::cover_curve;
-use topogen_metrics::CurvePoint;
+use topogen_metrics::balls::sample_centers;
+use topogen_metrics::engine::{BallMetric, BiconMetric, CoverMetric};
 
-fn to_series(name: &str, curve: &[CurvePoint]) -> Series {
-    let x: Vec<f64> = curve.iter().map(|p| p.avg_size).collect();
-    let y: Vec<f64> = curve.iter().map(|p| p.value).collect();
-    Series::new(name, &x, &y)
+/// Ball-size cap of the Figure 8 balls.
+fn max_ball(ctx: &ExpCtx) -> usize {
+    if ctx.quick {
+        1_200
+    } else {
+        4_000
+    }
 }
 
-fn run_ball_metric(ctx: &ExpCtx, run: &RunCtx, id: &str, y_label: &str, which: &str) -> FigureData {
+fn run_ball_metric(
+    ctx: &ExpCtx,
+    run: &RunCtx,
+    id: &str,
+    y_label: &str,
+    metric: &dyn BallMetric,
+) -> FigureData {
     let centers_n = if ctx.quick { 8 } else { 24 };
-    let max_ball = if ctx.quick { 1_200 } else { 4_000 };
     let max_h = if ctx.quick { 40 } else { 64 };
     zoo_figure_degraded(ctx, run, id, "ball size", y_label, |t| {
         // The RL graph at quick settings is large; its balls are capped
         // like everything else's, so it stays included.
-        let src = PlainBalls { graph: &t.graph };
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0xF18);
         let centers = sample_centers(t.graph.node_count(), centers_n, &mut rng);
-        let curve = match which {
-            "cover" => cover_curve(&src, &centers, max_h, max_ball),
-            "bicon" => bicon_curve(&src, &centers, max_h, max_ball),
-            other => panic!("unknown metric {other:?}"),
-        };
-        Some(to_series(&t.name, &curve))
+        Some(ball_metric_series(
+            run,
+            t,
+            centers,
+            max_h,
+            max_ball(ctx),
+            metric,
+        ))
     })
 }
 
 /// Figure 8(a–c): vertex cover growth.
 pub fn run_cover(ctx: &ExpCtx, run: &RunCtx) -> FigureData {
-    run_ball_metric(ctx, run, "fig8-vertex-cover", "vertex cover", "cover")
+    let cover = CoverMetric {
+        max_ball_nodes: max_ball(ctx),
+    };
+    run_ball_metric(ctx, run, "fig8-vertex-cover", "vertex cover", &cover)
 }
 
 /// Figure 8(d–f): biconnected-component growth.
 pub fn run_bicon(ctx: &ExpCtx, run: &RunCtx) -> FigureData {
+    let bicon = BiconMetric {
+        max_ball_nodes: max_ball(ctx),
+    };
     run_ball_metric(
         ctx,
         run,
         "fig8-biconnectivity",
         "number of biconnected components",
-        "bicon",
+        &bicon,
     )
 }
 

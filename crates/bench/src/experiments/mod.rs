@@ -18,8 +18,12 @@ pub mod signatures;
 pub mod tab1;
 
 use crate::ExpCtx;
+use topogen_core::report::Series;
 use topogen_core::zoo::{build_in, BuiltTopology, TopologySpec};
 use topogen_core::RunCtx;
+use topogen_graph::NodeId;
+use topogen_metrics::balls::PlainBalls;
+use topogen_metrics::engine::{BallMetric, BallPlan};
 use topogen_par::{cancel, panic_message};
 
 /// Build the Figure 1 zoo (shared by most experiments). Building is
@@ -83,6 +87,33 @@ pub fn zoo_figure_degraded(
         }
     }
     fig
+}
+
+/// `t`'s ball-growing curve of `metric` around `centers` as a figure
+/// series (x = average ball size, y = average value), on the run's
+/// kernel policy. `metric` must decline every ball above `max_ball`
+/// nodes: the bitset kernel then skips building them.
+pub fn ball_metric_series(
+    run: &RunCtx,
+    t: &BuiltTopology,
+    centers: Vec<NodeId>,
+    max_h: u32,
+    max_ball: usize,
+    metric: &dyn BallMetric,
+) -> Series {
+    let src = PlainBalls { graph: &t.graph };
+    // The figure consumers draw no randomness: the plan seed is unused.
+    let out = BallPlan::new(&src, max_h, 0)
+        .ball_centers(centers)
+        .metric(metric)
+        .ball_size_cap(Some(max_ball))
+        .kernel(run.kernel)
+        .context(run.engine())
+        .run();
+    let curve = &out.curves[0];
+    let x: Vec<f64> = curve.iter().map(|p| p.avg_size).collect();
+    let y: Vec<f64> = curve.iter().map(|p| p.value).collect();
+    Series::new(&t.name, &x, &y)
 }
 
 /// [`build_zoo`] with per-topology panic isolation.

@@ -144,7 +144,11 @@ impl Drop for WorkerPool {
     }
 }
 
+/// Spawn one worker, counting it live before its thread starts: a pool
+/// (or a respawn) reports full strength as soon as it exists, not once
+/// the scheduler gets round to running the new thread.
 fn spawn_worker(shared: &Arc<Shared>, id: usize) {
+    shared.live.fetch_add(1, Ordering::SeqCst);
     let for_worker = Arc::clone(shared);
     let handle = std::thread::Builder::new()
         .name(format!("serve-worker-{id}"))
@@ -175,7 +179,6 @@ impl Drop for Sentinel {
 }
 
 fn worker_run(shared: &Arc<Shared>) {
-    shared.live.fetch_add(1, Ordering::SeqCst);
     let sentinel = Sentinel {
         shared: Arc::clone(shared),
     };
@@ -200,6 +203,16 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc::channel;
     use std::time::{Duration, Instant};
+
+    #[test]
+    fn workers_count_live_from_construction() {
+        for n in [1, 2, 4] {
+            let pool = WorkerPool::new(n, 4);
+            assert_eq!(pool.stats().live, n);
+            pool.shutdown();
+            assert_eq!(pool.stats().live, 0);
+        }
+    }
 
     #[test]
     fn jobs_run_and_shutdown_drains() {

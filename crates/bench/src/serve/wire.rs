@@ -208,8 +208,9 @@ fn parse_scale(s: &str) -> Result<Scale, WireError> {
 /// A topology reference: either a zoo name (`"Mesh"`, `"PLRG"`, …)
 /// resolved against the Figure 1 + degree-based zoos at the request's
 /// scale, or an inline parameter map for the simple generators
-/// (`{"kind": "mesh", "side": 12}`).
-fn parse_topology(c: &Content, scale: Scale) -> Result<TopologySpec, WireError> {
+/// (`{"kind": "mesh", "side": 12}`). `repro gen TOPOLOGY` takes the same
+/// grammar.
+pub fn parse_topology(c: &Content, scale: Scale) -> Result<TopologySpec, WireError> {
     match c {
         Content::Str(name) => {
             let mut zoo = TopologySpec::figure1_zoo(scale);

@@ -1,7 +1,9 @@
 //! End-to-end tests of `repro`'s command-line plumbing: malformed flag
-//! values are usage errors (exit 2, never a panic), and the flags that
+//! values are usage errors (exit 2, never a panic), the flags that
 //! configure the run context — `--cache`, `--trace`, `--mem-budget`,
-//! `--kernel` — take effect without changing the archived JSON.
+//! `--kernel` — take effect without changing the archived JSON, and the
+//! file commands (`gen`, `load-measured`, `classify`) round-trip a
+//! generated edge list.
 
 use std::path::{Path, PathBuf};
 use std::process::Output;
@@ -128,16 +130,90 @@ fn mem_budget_flag_routes_builds_through_the_streaming_builder() {
     // The streaming builder spills its sorted runs under `out/` (and
     // merges them away); an in-memory build never touches it.
     let dir = scratch("budget");
-    let plain = repro(&dir, &["tab1"]);
+    let plain = repro(&dir, &["tab1", "--timings"]);
     assert!(plain.status.success(), "{}", stderr(&plain));
     assert!(
         !dir.join("out").exists(),
         "in-memory builds leave no scratch"
     );
-    let budgeted = repro(&dir, &["tab1", "--mem-budget", "1K"]);
+    let budgeted = repro(&dir, &["tab1", "--mem-budget", "1K", "--timings"]);
     assert!(budgeted.status.success(), "{}", stderr(&budgeted));
     assert!(dir.join("out").is_dir(), "budgeted builds streamed");
-    assert_eq!(plain.stdout, budgeted.stdout, "same table either way");
+    // (table, timing report) halves of a `tab1 --timings` stdout.
+    let split = |out: &Output| {
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        let (table, timings) = text
+            .split_once("== tab1 timings ==")
+            .expect("timing report");
+        (table.to_string(), timings.to_string())
+    };
+    let (plain_table, plain_timings) = split(&plain);
+    let (budgeted_table, budgeted_timings) = split(&budgeted);
+    assert_eq!(plain_table, budgeted_table, "same table either way");
+    assert!(!plain_timings.contains("spill-runs"), "{plain_timings}");
+    let spill_runs: u64 = budgeted_timings
+        .split("spill-runs ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no spill-runs count in:\n{budgeted_timings}"));
+    assert!(spill_runs > 0, "--timings reports the spilled runs");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn gen_load_measured_and_classify_round_trip_an_edge_list() {
+    let dir = scratch("files");
+    let generated = repro(&dir, &["gen", "PLRG"]);
+    assert!(generated.status.success(), "{}", stderr(&generated));
+    std::fs::write(dir.join("plrg.txt"), &generated.stdout).unwrap();
+
+    let loaded = repro(&dir, &["load-measured", "plrg.txt"]);
+    assert!(loaded.status.success(), "{}", stderr(&loaded));
+    let text = String::from_utf8_lossy(&loaded.stdout);
+    assert!(text.contains("power-law alpha"), "{text}");
+    assert!(text.contains("clustering"), "{text}");
+
+    // The cache serves the second classify's curves and link values.
+    let one = repro(&dir, &["classify", "plrg.txt", "--cache=store"]);
+    assert!(one.status.success(), "{}", stderr(&one));
+    let text = String::from_utf8_lossy(&one.stdout);
+    let row = text
+        .lines()
+        .find(|l| l.starts_with("plrg.txt"))
+        .unwrap_or_else(|| panic!("no plrg.txt row in:\n{text}"));
+    let signature = row.split_whitespace().nth(2).unwrap();
+    assert!(
+        signature.len() == 3 && signature.chars().all(|c| c == 'H' || c == 'L'),
+        "signature {signature:?} in {row:?}"
+    );
+    assert!(!text.contains("MATCH"), "one file has no verdict:\n{text}");
+
+    let two = repro(&dir, &["classify", "plrg.txt", "plrg.txt", "--cache=store"]);
+    assert!(two.status.success(), "{}", stderr(&two));
+    let text = String::from_utf8_lossy(&two.stdout);
+    assert!(text.contains("MATCH"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn file_commands_reject_bad_topologies_and_missing_files() {
+    let dir = scratch("file-errors");
+    let cases: &[(&[&str], i32)] = &[
+        (&["gen", "NoSuchTopology"], 2),
+        (&["gen", r#"{"kind":"plrg","n":100}"#], 2),
+        (&["gen", r#"{"kind":"#], 2),
+        (&["gen"], 2),
+        (&["classify"], 2),
+        (&["classify", "missing.txt"], 3),
+        (&["load-measured", "missing.txt"], 3),
+    ];
+    for (args, code) in cases {
+        let out = repro(&dir, args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(*code), "{args:?}; stderr:\n{err}");
+        assert!(!err.contains("panicked"), "{args:?} panicked:\n{err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

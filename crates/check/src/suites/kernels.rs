@@ -11,7 +11,11 @@ use topogen_graph::bfs;
 use topogen_graph::bfs_bitset::{self, BfsStats};
 use topogen_graph::NodeId;
 use topogen_metrics::balls::PlainBalls;
-use topogen_metrics::engine::{BallPlan, DistortionMetric, KernelPolicy, ResilienceMetric};
+use topogen_metrics::engine::{
+    BallPlan, BiconMetric, ClusteringMetric, CoverMetric, DistortionMetric, KernelPolicy,
+    ResilienceMetric,
+};
+use topogen_metrics::extra::SurfaceFlowMetric;
 
 /// The `kernels` suite.
 pub fn suite() -> Suite {
@@ -31,9 +35,11 @@ pub fn suite() -> Suite {
             Box::new(Check {
                 name: "ballplan-kernel-identity",
                 property: "a BallPlan forced to the bitset kernels reproduces the \
-                           forced-scalar curves bit-for-bit on arbitrary connected graphs",
+                           forced-scalar curves bit-for-bit on arbitrary connected graphs, \
+                           for every consumer (resilience, distortion, cover, \
+                           biconnectivity, clustering, surface flow)",
                 oracle: "the same plan with KernelPolicy::Scalar",
-                shrink_hint: "shrink the node count, then drop the distortion metric",
+                shrink_hint: "shrink the node count, then drop metrics one at a time",
                 max_cases: u32::MAX,
                 run: ballplan_kernel_identity,
             }),
@@ -98,6 +104,19 @@ fn ballplan_kernel_identity(seed: u64) -> Result<(), String> {
         use_bartal: false,
         polish: false,
     };
+    let cover = CoverMetric {
+        max_ball_nodes: 1_000,
+    };
+    let bicon = BiconMetric {
+        max_ball_nodes: 1_000,
+    };
+    let clustering = ClusteringMetric {
+        max_ball_nodes: 1_000,
+    };
+    let flow = SurfaceFlowMetric {
+        max_ball_nodes: 1_000,
+        surface_samples: 4,
+    };
     let run = |policy: KernelPolicy| {
         BallPlan::new(&src, 8, seed)
             .ball_centers(centers.clone())
@@ -105,6 +124,10 @@ fn ballplan_kernel_identity(seed: u64) -> Result<(), String> {
             .kernel(policy)
             .metric(&res)
             .metric(&dis)
+            .metric(&cover)
+            .metric(&bicon)
+            .metric(&clustering)
+            .metric(&flow)
             .run()
     };
     let scalar = run(KernelPolicy::Scalar);
@@ -129,7 +152,10 @@ fn ballplan_kernel_identity(seed: u64) -> Result<(), String> {
                     && x.value.to_bits() == y.value.to_bits()
             });
         if !same {
-            return Err(format!("n={n}: metric curve {i} diverges between kernels"));
+            return Err(format!(
+                "n={n}: {} curve diverges between kernels",
+                scalar.names[i]
+            ));
         }
     }
     Ok(())

@@ -283,6 +283,23 @@ pub struct BuiltTopology {
     pub spec: TopologySpec,
 }
 
+impl BuiltTopology {
+    /// A bare analysis graph from outside the zoo (a loaded file, a
+    /// rewired or observed variant): no annotations, no router overlay.
+    /// `spec` is a placeholder; the suite and hierarchy caches key on the
+    /// graph itself, never on the spec.
+    pub fn plain(name: impl Into<String>, graph: Graph) -> Self {
+        BuiltTopology {
+            name: name.into(),
+            graph,
+            annotations: None,
+            router_as: None,
+            as_overlay: None,
+            spec: TopologySpec::MeasuredAs,
+        }
+    }
+}
+
 /// Build a topology deterministically from `seed` under `ctx`.
 ///
 /// When `ctx.store` is set (`repro --cache`, or the serve daemon's

@@ -22,7 +22,8 @@ pub trait BallSource: Sync {
     fn node_count(&self) -> usize;
 
     /// All balls of radii `0..=max_h` around `center`, cheapest computed
-    /// together (one BFS serves every radius).
+    /// together (one BFS serves every radius). Ball nodes are ordered by
+    /// (distance, id), so node 0 is the center.
     fn balls_up_to(&self, center: NodeId, max_h: u32) -> Vec<(Graph, SubgraphMap)>;
 
     /// Distance field from `center` under this source's path notion.

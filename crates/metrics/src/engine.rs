@@ -1,9 +1,12 @@
-//! The shared-ball metrics engine.
+//! The shared-ball metrics engine: every ball-growing curve in the
+//! workspace runs on [`BallPlan`].
 //!
-//! The legacy path had every ball-growing metric call
-//! [`BallSource::balls_up_to`] independently: with k metrics over the
-//! same centers, each center's BFS + ball construction ran k times.
-//! [`BallPlan`] inverts that: per sampled center it computes the
+//! [`crate::balls::ball_curve`] and [`crate::expansion::expansion_curve`]
+//! call [`BallSource::balls_up_to`] per metric: with k metrics over the
+//! same centers, each center's BFS + ball construction would run k
+//! times. They stay as the plain reference implementations the engine
+//! is tested against (`engine_matches_legacy_*` here and the metrics
+//! proptests). [`BallPlan`] inverts that: per sampled center it computes the
 //! radius-indexed ball subgraphs (and, for expansion, the distance
 //! field) **once**, and hands each ball to every registered
 //! [`BallMetric`] consumer. An [`Instrument`] sink counts traversals,
@@ -59,8 +62,9 @@ pub struct MeasureCtx<'a> {
 /// A per-ball metric consumer registered with a [`BallPlan`].
 ///
 /// `measure` maps one ball subgraph to a value; `None` skips the ball
-/// (too small / too large), exactly like the legacy
-/// [`crate::balls::ball_curve`] closure contract.
+/// (too small / too large), exactly like the closure contract of the
+/// reference [`crate::balls::ball_curve`]. Node 0 of every ball is its
+/// center, on both kernels.
 pub trait BallMetric: Sync {
     /// Short stable name, used for phase timings and curve lookup.
     fn name(&self) -> &'static str;
@@ -415,7 +419,7 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     pub fn aggregate(&self, outputs: &[JobOut], report: InstrumentReport) -> PlanResult {
         let radii = self.max_radius as usize + 1;
         // Aggregate in fixed job order: bit-identical for any thread
-        // count, and matching the legacy ball_curve semantics (only
+        // count, and matching the reference ball_curve semantics (only
         // finite values contribute to the size/value averages).
         let curves = (0..self.metrics.len())
             .map(|mi| {
@@ -754,6 +758,23 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     }
 }
 
+/// One metric's curve over plain balls around `centers` — the unit
+/// tests' shorthand for a single-consumer plan.
+#[cfg(test)]
+pub(crate) fn plain_curve(
+    g: &Graph,
+    centers: &[NodeId],
+    max_h: u32,
+    metric: &dyn BallMetric,
+) -> Vec<CurvePoint> {
+    let src = crate::balls::PlainBalls { graph: g };
+    let mut out = BallPlan::new(&src, max_h, 0)
+        .ball_centers(centers.to_vec())
+        .metric(metric)
+        .run();
+    out.curves.remove(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1012,6 +1033,51 @@ mod tests {
             .run();
         assert!(out.curve("edges").is_some());
         assert!(out.curve("nope").is_none());
+    }
+
+    /// Checks what center-anchored consumers (the surface flow) assume:
+    /// ball node 0 is the center — it reaches every ball node within
+    /// the radius and keeps all of the center's edges once h ≥ 1.
+    struct CenterIsNodeZero<'g> {
+        graph: &'g Graph,
+    }
+
+    impl BallMetric for CenterIsNodeZero<'_> {
+        fn name(&self) -> &'static str {
+            "center"
+        }
+
+        fn measure(&self, ball: &Graph, ctx: &MeasureCtx<'_>) -> Option<f64> {
+            let d = topogen_graph::bfs::distances(ball, 0);
+            let within = d.iter().all(|&x| x <= ctx.radius);
+            let degree_kept = ctx.radius == 0 || ball.degree(0) == self.graph.degree(ctx.center);
+            Some(f64::from(u8::from(within && degree_kept)))
+        }
+    }
+
+    #[test]
+    fn ball_center_is_node_zero_on_both_kernels() {
+        // A random graph, so node 0 of a ball is rarely the center by
+        // accident of symmetry.
+        let mut b = topogen_graph::GraphBuilder::new(60);
+        let mut x = 7u64;
+        for _ in 0..150 {
+            x = mix_seed(x, 1);
+            b.add_edge((x % 60) as NodeId, ((x >> 20) % 60) as NodeId);
+        }
+        let g = b.build();
+        let src = PlainBalls { graph: &g };
+        let probe = CenterIsNodeZero { graph: &g };
+        for policy in [KernelPolicy::Scalar, KernelPolicy::Bitset] {
+            let out = BallPlan::new(&src, 6, 1)
+                .ball_centers(g.nodes().collect())
+                .kernel(policy)
+                .metric(&probe)
+                .run();
+            for p in &out.curves[0] {
+                assert_eq!(p.value, 1.0, "{policy:?} radius {}", p.radius);
+            }
+        }
     }
 
     #[test]

@@ -29,14 +29,16 @@
 //!   et al. \[3\]).
 //! * [`clustering`] — clustering coefficients, ball-grown and global
 //!   (Figure 10, after Watts–Strogatz \[46\] / Bu–Towsley \[8\]).
-//! * [`extra`] — the footnote-22 extras: per-ball average path length
-//!   and expected center-to-surface max flow.
+//! * [`extra`] — the footnote-22 extras: expected center-to-surface max
+//!   flow, and (as [`engine::PathLengthMetric`]) per-ball average path
+//!   length.
 //!
 //! [`balls`] provides the shared ball-source abstraction — plain BFS
 //! balls or policy-induced balls (Appendix E) — so every metric can run
 //! with and without policy routing, exactly as the paper reports for the
-//! AS and RL graphs. [`engine`] runs several per-ball metrics over one
-//! shared set of balls per center (one traversal serves every consumer),
+//! AS and RL graphs. [`engine`] runs every per-ball metric, as a
+//! [`BallMetric`] consumer, over one shared set of balls per center (one
+//! traversal serves every consumer),
 //! with `topogen_par::Instrument` counting the work it saves. The
 //! scoped-thread parallel map spreading per-center computations over
 //! cores lives in the shared `topogen-par` crate, which also serves the

@@ -214,7 +214,8 @@ pub fn take_arena_highwater() -> u64 {
 /// [`ARENA_HIGHWATER`]'s publish/drain shape: topology builds happen
 /// deep inside store cache-miss closures with no instrument in reach,
 /// so the builder's caller publishes here and the runner drains the
-/// count into each unit's timing report.
+/// count into each unit's ledger entry ([`spill_runs`] gives the unit's
+/// own `--timings` report the same count).
 static SPILL_RUNS: AtomicU64 = AtomicU64::new(0);
 
 /// Record `n` spilled streaming-build runs against the process tally.
@@ -225,6 +226,14 @@ pub fn record_spill_runs(n: u64) {
 /// Read and reset the process-wide spill-run tally.
 pub fn take_spill_runs() -> u64 {
     SPILL_RUNS.swap(0, Ordering::Relaxed)
+}
+
+/// Read the spill-run tally without resetting it. The runner resets it
+/// when a unit attempt starts and drains it into the ledger when the
+/// attempt ends; in between, the unit's `--timings` report reads the
+/// same count here.
+pub fn spill_runs() -> u64 {
+    SPILL_RUNS.load(Ordering::Relaxed)
 }
 
 /// Wall time attributed to one named engine phase.

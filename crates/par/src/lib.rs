@@ -26,8 +26,8 @@ pub use cancel::{CancelToken, Cancelled, Deadline};
 pub use ctx::EngineCtx;
 pub use faults::IoFault;
 pub use instrument::{
-    record_arena_highwater, record_spill_runs, take_arena_highwater, take_spill_runs, Instrument,
-    InstrumentReport, PhaseTiming,
+    record_arena_highwater, record_spill_runs, spill_runs, take_arena_highwater, take_spill_runs,
+    Instrument, InstrumentReport, PhaseTiming,
 };
 pub use par::{panic_message, par_map, par_map_catch, par_map_threads};
 pub use trace::{SpanGuard, SpanRollup, TraceEvent, TraceSink};
